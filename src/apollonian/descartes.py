@@ -7,8 +7,11 @@ satisfy two identities used throughout:
 * matrix: M F M^T = G, where the columns of M are the four symbols,
   F is the Gram-pattern matrix (diagonal -1, off-diagonal +1), and
   G = diag(-4, -4) on the center block with an anti-diagonal 8-block
-  on the curvature/co-curvature pair.  G is pinned numerically by the
-  known integral configurations; see tests.
+  on the curvature/co-curvature pair.  G is the inverse of Q/4, Q the
+  matrix of the inner product of `disks`, and F^2 = 4I, so
+  M F M^T = G <=> M^T Q M = F (Lagarias-Mallows-Wilks, augmented
+  Euclidean Descartes theorem): the matrix identity says exactly that
+  every symbol has norm -1 and every pair has inner product +1.
 
 Given three of the four disks, the two completions D and D' satisfy
 D + D' = 2(D1 + D2 + D3) componentwise, which makes the exact

@@ -130,9 +130,11 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse, by solving the 4x4 linear system exactly."""
+        """Multiplicative inverse; rationals directly, others by a 4x4 exact solve."""
         if not any(self.coeffs):
             raise ZeroDivisionError("inverse of zero field element")
+        if self.is_rational():
+            return FieldElement._raw((1 / self.coeffs[0], _F0, _F0, _F0))
         # Columns of M are self * t^j; solve M v = (1, 0, 0, 0).
         col = list(self.coeffs)
         rows = [[_F0] * 5 for _ in range(4)]

@@ -26,7 +26,7 @@ from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .field import FieldElement
-from .disks import DiskSymbol, inner, norm_ok, norm_residual, tangency_residual
+from .disks import DiskSymbol, norm_ok, norm_residual, tangency_residual, tangent
 from .descartes import Quadruple, extended_ok, extended_residual, reflect_fourth
 from . import chains
 
@@ -293,14 +293,10 @@ def classify(p: Packing) -> PackingType:
 
 def curvature_spectrum(p: Packing) -> List[Tuple[Scalar, int]]:
     """Sorted (curvature, multiplicity) pairs; exact order in exact mode."""
-    groups: List[Tuple[Scalar, int]] = []
+    counts: Dict[Scalar, int] = {}
     for beta in p.curvatures():
-        for idx, (value, count) in enumerate(groups):
-            if value == beta:
-                groups[idx] = (value, count + 1)
-                break
-        else:
-            groups.append((beta, 1))
+        counts[beta] = counts.get(beta, 0) + 1
+    groups = list(counts.items())
     if groups and isinstance(groups[0][0], FieldElement):
         groups.sort(key=cmp_to_key(lambda a, b: (a[0] - b[0]).sign()))
     else:
@@ -309,44 +305,60 @@ def curvature_spectrum(p: Packing) -> List[Tuple[Scalar, int]]:
 
 
 def verify_packing(p: Packing) -> Dict[str, object]:
-    """Re-check every stored invariant; lists violations instead of raising."""
-    exact = p.mode == "exact"
-    norm_violations: List[int] = []
-    max_norm = 0.0
-    for i, d in enumerate(p.disks):
-        if exact:
-            if not norm_ok(d):
-                norm_violations.append(i)
-        else:
-            res = norm_residual(d)
-            max_norm = max(max_norm, res)
-            if res > FLOAT_TOL:
-                norm_violations.append(i)
+    """Re-check every stored invariant; lists violations instead of raising.
+
+    In exact mode this is one Gram pass.  Let M have the four symbols of
+    a quadruple as columns, Q the matrix of the inner product (so
+    <a, b> = a^T Q b) and F, G the matrices of `descartes`.  Then
+
+        M F M^T = G  <=>  M^T Q M = F.
+
+    Proof: G^-1 = Q/4 and F^2 = 4I, and either side makes M invertible.
+    If M F M^T = G then F^-1 = M^T G^-1 M, i.e. F/4 = M^T Q M / 4; if
+    M^T Q M = F then Q^-1 = M F^-1 M^T, i.e. G/4 = M F M^T / 4.
+
+    The entries of M^T Q M are the inner products of the quadruple's
+    disks, so a quadruple violates the extended identity iff one of its
+    4 disks has <d, d> != -1 or one of its 6 position pairs has
+    <d_i, d_j> != +1 (a repeated index i = j is judged as a pair, +1,
+    not as a norm).  Each disk norm and each index pair is computed once
+    per call; a child quadruple shares 3 disks with its parent, so it
+    costs about 3 new pairs.
+
+    Float mode keeps the three residual passes and their tolerance.
+    """
+    if p.mode != "exact":
+        return _verify_float(p)
+    norm_bad = [not norm_ok(d) for d in p.disks]
+    pair_ok: Dict[Tuple[int, int], bool] = {}
     extended_violations: List[int] = []
     tangency_violations: List[Tuple[int, int, int]] = []
-    max_extended = 0.0
-    max_tangency = 0.0
     for qi, (indices, _) in enumerate(p.quadruples):
-        quad = Quadruple(tuple(p.disks[i] for i in indices))
-        if exact:
-            if not extended_ok(quad):
-                extended_violations.append(qi)
-        else:
-            res = extended_residual(quad)
-            max_extended = max(max_extended, res)
-            if res > FLOAT_TOL:
-                extended_violations.append(qi)
+        quad_ok = not any(norm_bad[i] for i in indices)
         for a in range(4):
             for b in range(a + 1, 4):
-                if exact:
-                    if inner(quad[a], quad[b]) != 1:
-                        tangency_violations.append((qi, indices[a], indices[b]))
-                else:
-                    res = tangency_residual(quad[a], quad[b])
-                    max_tangency = max(max_tangency, res)
-                    if res > FLOAT_TOL:
-                        tangency_violations.append((qi, indices[a], indices[b]))
-    report = {
+                i, j = indices[a], indices[b]
+                key = (i, j) if i <= j else (j, i)
+                ok = pair_ok.get(key)
+                if ok is None:
+                    ok = pair_ok[key] = tangent(p.disks[i], p.disks[j])
+                if not ok:
+                    quad_ok = False
+                    tangency_violations.append((qi, i, j))
+        if not quad_ok:
+            extended_violations.append(qi)
+    return _report(
+        p, [i for i, bad in enumerate(norm_bad) if bad], extended_violations, tangency_violations
+    )
+
+
+def _report(
+    p: Packing,
+    norm_violations: List[int],
+    extended_violations: List[int],
+    tangency_violations: List[Tuple[int, int, int]],
+) -> Dict[str, object]:
+    return {
         "mode": p.mode,
         "disk_count": len(p.disks),
         "quadruple_count": len(p.quadruples),
@@ -355,8 +367,35 @@ def verify_packing(p: Packing) -> Dict[str, object]:
         "tangency_violations": tangency_violations,
         "ok": not (norm_violations or extended_violations or tangency_violations),
     }
-    if not exact:
-        report["max_norm_residual"] = max_norm
-        report["max_extended_residual"] = max_extended
-        report["max_tangency_residual"] = max_tangency
+
+
+def _verify_float(p: Packing) -> Dict[str, object]:
+    """Residual checks of the norm, the extended identity and tangency."""
+    norm_violations: List[int] = []
+    max_norm = 0.0
+    for i, d in enumerate(p.disks):
+        res = norm_residual(d)
+        max_norm = max(max_norm, res)
+        if res > FLOAT_TOL:
+            norm_violations.append(i)
+    extended_violations: List[int] = []
+    tangency_violations: List[Tuple[int, int, int]] = []
+    max_extended = 0.0
+    max_tangency = 0.0
+    for qi, (indices, _) in enumerate(p.quadruples):
+        quad = Quadruple(tuple(p.disks[i] for i in indices))
+        res = extended_residual(quad)
+        max_extended = max(max_extended, res)
+        if res > FLOAT_TOL:
+            extended_violations.append(qi)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                res = tangency_residual(quad[a], quad[b])
+                max_tangency = max(max_tangency, res)
+                if res > FLOAT_TOL:
+                    tangency_violations.append((qi, indices[a], indices[b]))
+    report = _report(p, norm_violations, extended_violations, tangency_violations)
+    report["max_norm_residual"] = max_norm
+    report["max_extended_residual"] = max_extended
+    report["max_tangency_residual"] = max_tangency
     return report

@@ -1,11 +1,16 @@
 """Orbit generation, dedup, classification, and spectrum checks."""
 
+import dataclasses
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apollonian.descartes import extended_ok
-from apollonian.field import PHI, TAU
+from apollonian.descartes import Quadruple, extended_ok, reflect_fourth
+from apollonian.disks import invert_unit_circle, norm_ok, tangent
+from apollonian.field import PHI, TAU, FieldElement
 from apollonian.packing import (
     BUILTIN_SEEDS,
     InvalidSeed,
@@ -232,3 +237,153 @@ class TestVerify:
         report = verify_packing(p)
         assert not report["ok"]
         assert 0 in report["norm_violations"]
+
+    def test_report_key_order(self):
+        report = verify_packing(generate(PackingConfig(seed="window", max_depth=1)))
+        assert list(report) == [
+            "mode",
+            "disk_count",
+            "quadruple_count",
+            "norm_violations",
+            "extended_violations",
+            "tangency_violations",
+            "ok",
+        ]
+
+
+def oracle_verify(p):
+    """Reference exact verifier: norms, the matrix identity and the 6 tangencies
+    of every quadruple, each checked on its own."""
+    norm_violations = [i for i, d in enumerate(p.disks) if not norm_ok(d)]
+    extended_violations = []
+    tangency_violations = []
+    for qi, (indices, _) in enumerate(p.quadruples):
+        quad = Quadruple(tuple(p.disks[i] for i in indices))
+        if not extended_ok(quad):
+            extended_violations.append(qi)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                if not tangent(quad[a], quad[b]):
+                    tangency_violations.append((qi, indices[a], indices[b]))
+    return {
+        "mode": p.mode,
+        "disk_count": len(p.disks),
+        "quadruple_count": len(p.quadruples),
+        "norm_violations": norm_violations,
+        "extended_violations": extended_violations,
+        "tangency_violations": tangency_violations,
+        "ok": not (norm_violations or extended_violations or tangency_violations),
+    }
+
+
+@lru_cache(maxsize=None)
+def _builtin_depth_one(name):
+    return generate(PackingConfig(seed=name, max_depth=1))
+
+
+def fresh_copy(name):
+    p = _builtin_depth_one(name)
+    return dataclasses.replace(p, disks=list(p.disks), quadruples=list(p.quadruples))
+
+
+COMPONENTS = ("xr", "yr", "beta", "gamma")
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+nonzero_deltas = st.builds(FieldElement, *[small_rationals] * 4).filter(bool)
+
+
+def perturb_component(p, data):
+    i = data.draw(st.integers(0, len(p.disks) - 1))
+    name = data.draw(st.sampled_from(COMPONENTS))
+    d = p.disks[i]
+    p.disks[i] = dataclasses.replace(d, **{name: getattr(d, name) + data.draw(nonzero_deltas)})
+
+
+def swap_index(p, data):
+    qi = data.draw(st.integers(0, len(p.quadruples) - 1))
+    a = data.draw(st.integers(0, 3))
+    indices, depth = p.quadruples[qi]
+    replaced = list(indices)
+    replaced[a] = data.draw(st.integers(0, len(p.disks) - 1).filter(lambda j: j != indices[a]))
+    p.quadruples[qi] = (tuple(replaced), depth)
+
+
+def repeat_index(p, data):
+    qi = data.draw(st.integers(0, len(p.quadruples) - 1))
+    a, b = data.draw(st.permutations(range(4)))[:2]
+    indices, depth = p.quadruples[qi]
+    replaced = list(indices)
+    replaced[b] = indices[a]
+    p.quadruples[qi] = (tuple(replaced), depth)
+    return qi
+
+
+def break_identity(p, data):
+    # Inversion in the unit circle keeps the norm, so the quadruples that
+    # hold the new disk fail only through their pair products.
+    movable = [j for j, d in enumerate(p.disks) if d.beta != d.gamma]
+    i = data.draw(st.sampled_from(movable))
+    p.disks[i] = invert_unit_circle(p.disks[i])
+
+
+def slide_to_mirror(p, data):
+    # d + s(d' - d), d' the mirror of d in a quadruple: the three
+    # tangencies of that quadruple hold, so it fails only through the norm.
+    qi = data.draw(st.integers(0, len(p.quadruples) - 1))
+    a = data.draw(st.integers(0, 3))
+    s = data.draw(small_rationals.filter(lambda s: s not in (0, 1)))
+    indices, _ = p.quadruples[qi]
+    d = p.disks[indices[a]]
+    mirror = reflect_fourth(Quadruple(tuple(p.disks[i] for i in indices)), a)
+    p.disks[indices[a]] = d + (mirror - d).scaled(FieldElement(s))
+    return qi
+
+
+class TestVerifyOracle:
+    @pytest.mark.parametrize(
+        "corrupt", [perturb_component, swap_index, repeat_index, break_identity, slide_to_mirror]
+    )
+    @given(name=st.sampled_from(BUILTIN_SEEDS), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_three_pass_oracle(self, corrupt, name, data):
+        p = fresh_copy(name)
+        qi = corrupt(p, data)
+        report = verify_packing(p)
+        assert report == oracle_verify(p)
+        if corrupt is repeat_index:
+            # (i, i) is judged as a pair, +1, not as a norm.
+            assert report["norm_violations"] == []
+            assert qi in report["extended_violations"]
+            assert any(v[0] == qi and v[1] == v[2] for v in report["tangency_violations"])
+        if corrupt is break_identity:
+            assert report["norm_violations"] == []
+        if corrupt is slide_to_mirror:
+            assert qi in report["extended_violations"]
+            assert not any(v[0] == qi for v in report["tangency_violations"])
+
+
+def spectrum_by_scan(p):
+    """Reference spectrum: one list scan per disk, then the same sort."""
+    groups = []
+    for beta in p.curvatures():
+        for idx, (value, count) in enumerate(groups):
+            if value == beta:
+                groups[idx] = (value, count + 1)
+                break
+        else:
+            groups.append((beta, 1))
+    if p.mode == "exact":
+        groups.sort(key=cmp_to_key(lambda a, b: (a[0] - b[0]).sign()))
+    else:
+        groups.sort(key=lambda pair: pair[0])
+    return groups
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", BUILTIN_SEEDS)
+def test_spectrum_matches_list_scan(name, mode):
+    p = generate(PackingConfig(seed=name, max_depth=3, mode=mode))
+    expected = spectrum_by_scan(p)
+    got = curvature_spectrum(p)
+    assert got == expected
+    # same first-seen key objects, not merely equal values
+    assert all(g[0] is e[0] for g, e in zip(got, expected))
