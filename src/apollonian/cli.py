@@ -178,15 +178,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _symbol_row(d: DiskSymbol, digits: int) -> List[str]:
     row = [v.to_string() for v in d.components()]
-    beta = d.beta
-    if beta:
-        row.extend(
-            (
-                decimal_str(d.xr / beta, digits),
-                decimal_str(d.yr / beta, digits),
-                decimal_str(beta.inverse(), digits),
-            )
-        )
+    if d.beta:
+        r = d.beta.inverse()
+        row.extend((decimal_str(d.xr * r, digits), decimal_str(d.yr * r, digits), decimal_str(r, digits)))
     else:
         row.extend(("-", "-", "-"))
     return row

@@ -27,7 +27,7 @@ from typing import List, Tuple, Union
 from .field import FieldElement, sqrt_in_field
 from .disks import DiskSymbol, inner, tangency_residual
 
-Scalar = Union[FieldElement, float]
+Scalar = Union["FieldElement", float]
 
 __all__ = [
     "Quadruple",

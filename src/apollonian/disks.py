@@ -23,7 +23,7 @@ from typing import Tuple, Union
 
 from .field import FieldElement, ONE, ZERO
 
-Scalar = Union[FieldElement, float]
+Scalar = Union["FieldElement", float]
 
 __all__ = [
     "DiskSymbol",

@@ -11,16 +11,24 @@ golden ratio phi = t^2, its reciprocal tau = t^2 - 1, sqrt(5) =
 2*t^2 - 1, sqrt(tau) = t^3 - t, and the spiral ratio rho = t^2 + t.
 Closure under those square roots is what keeps disk symbols exact.
 
-Numeric views go through certified interval evaluation: the real
-embedding t -> 1.27201965... is bracketed by rational endpoints that
-are bisected until the question being asked (a sign, a rounded decimal)
-has the same answer at both endpoints.  Equality, by contrast, is
-purely structural: two elements are equal iff their coefficients are.
+Decisions are exact.  K is the tower Q < Q(phi) < K with t^2 = phi,
+so clearing denominators writes an element as (U + V*t)/den with U, V
+in Z[phi], and t -> -t is an automorphism.  Multiplying by the
+conjugate U - V*t lands in Z[phi], one more conjugate (phi -> 1 - phi)
+lands in Z: `inverse` and `sign` are integer norm computations down
+that tower, and `sqrt_in_field` reduces through it to rational square
+roots (H. Cohen, "A Course in Computational Algebraic Number Theory",
+relative norms).  Equality is structural:
+two elements are equal iff their coefficients are.
+
+Certified interval evaluation serves only the numeric views (`approx`,
+`interval`, `decimal_str`): the real embedding t -> 1.27201965... is
+bracketed by rational endpoints that are bisected until the rounded
+answer is the same at both endpoints.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -59,6 +67,29 @@ def _as_coeffs(value: object) -> Optional[Tuple[Fraction, Fraction, Fraction, Fr
 
 
 _F0 = Fraction(0)
+
+
+def _sgn(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _phi_sign(p: int, q: int) -> int:
+    """Sign of p + q*phi = (m + q*sqrt(5))/2 with m = 2p + q, by the norm m^2 - 5 q^2."""
+    m = 2 * p + q
+    sm, sq = _sgn(m), _sgn(q)
+    if sm * sq >= 0:
+        return sm or sq
+    return sm * _sgn(m * m - 5 * q * q)
+
+
+def _relative_norm(u0: int, u1: int, v0: int, v1: int) -> Tuple[int, int]:
+    """(p, q) with p + q*phi = (U + V*t)(U - V*t) = U^2 - phi*V^2.
+
+    U^2 = (u0^2 + u1^2) + (2 u0 u1 + u1^2) phi and
+    phi V^2 = (2 v0 v1 + v1^2) + (v0^2 + 2 v0 v1 + 2 v1^2) phi.
+    """
+    vv = 2 * v0 * v1 + v1 * v1
+    return u0 * u0 + u1 * u1 - vv, (2 * u0 + u1) * u1 - v0 * v0 - vv - v1 * v1
 
 
 class FieldElement:
@@ -129,30 +160,44 @@ class FieldElement:
 
     __rmul__ = __mul__
 
+    def _cleared(self) -> Tuple[int, int, int, int, int]:
+        """Integers (u0, u1, v0, v1, den) with self = (U + V*t)/den, den > 0.
+
+        U = u0 + u1*phi and V = v0 + v1*phi lie in Z[phi].
+        """
+        a, b, c, d = self.coeffs
+        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        return (
+            a.numerator * (den // a.denominator),
+            c.numerator * (den // c.denominator),
+            b.numerator * (den // b.denominator),
+            d.numerator * (den // d.denominator),
+            den,
+        )
+
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; rationals directly, others by a 4x4 exact solve."""
+        """Multiplicative inverse by norms: 1/x = den (U - V t)(p + q - q phi) / N.
+
+        (p + q phi)(p + q - q phi) = p^2 + p q - q^2 = N is the rational
+        norm of den*x, a nonzero integer when x is nonzero.
+        """
         if not any(self.coeffs):
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational():
             return FieldElement._raw((1 / self.coeffs[0], _F0, _F0, _F0))
-        # Columns of M are self * t^j; solve M v = (1, 0, 0, 0).
-        col = list(self.coeffs)
-        rows = [[_F0] * 5 for _ in range(4)]
-        rows[0][4] = Fraction(1)
-        for j in range(4):
-            for i in range(4):
-                rows[i][j] = col[i]
-            col = [col[3], col[0], col[1] + col[3], col[2]]  # multiply by t
-        for p in range(4):
-            pivot = next(r for r in range(p, 4) if rows[r][p])
-            rows[p], rows[pivot] = rows[pivot], rows[p]
-            inv = 1 / rows[p][p]
-            rows[p] = [v * inv for v in rows[p]]
-            for r in range(4):
-                if r != p and rows[r][p]:
-                    f = rows[r][p]
-                    rows[r] = [v - f * pv for v, pv in zip(rows[r], rows[p])]
-        return FieldElement._raw((rows[0][4], rows[1][4], rows[2][4], rows[3][4]))
+        u0, u1, v0, v1, den = self._cleared()
+        p, q = _relative_norm(u0, u1, v0, v1)
+        n = p * p + p * q - q * q
+        # (w0 + w1 phi)(p + q - q phi) = w0 (p + q) - w1 q + (w1 p - w0 q) phi
+        r = p + q
+        return FieldElement._raw(
+            (
+                Fraction(den * (u0 * r - u1 * q), n),
+                Fraction(-den * (v0 * r - v1 * q), n),
+                Fraction(den * (u1 * p - u0 * q), n),
+                Fraction(-den * (v1 * p - v0 * q), n),
+            )
+        )
 
     def __truediv__(self, other: object) -> "FieldElement":
         o = _as_coeffs(other)
@@ -193,18 +238,18 @@ class FieldElement:
         return any(self.coeffs)
 
     def sign(self) -> int:
-        """Certified sign under the real embedding t -> 1.272..."""
-        if not any(self.coeffs):
-            return 0
-        eps = Fraction(1, 1 << 20)
-        while True:
-            lo, hi = interval(self, eps)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            # Zero was excluded structurally, so refinement terminates.
-            eps /= 1 << 16
+        """Exact sign under the real embedding t -> 1.272..., by norms.
+
+        With t > 0, U + V t has the sign of U when U and V agree in
+        sign; otherwise U - V t has the sign of U, so the product
+        (U + V t)(U - V t) = p + q phi decides.
+        """
+        u0, u1, v0, v1, _ = self._cleared()
+        su = _phi_sign(u0, u1)
+        sv = _phi_sign(v0, v1)
+        if su * sv >= 0:
+            return su or sv
+        return su * _phi_sign(*_relative_norm(u0, u1, v0, v1))
 
     def __lt__(self, other: object) -> bool:
         o = _as_coeffs(other)
@@ -494,47 +539,76 @@ def golden_power(n: int) -> FieldElement:
 
 # -- square roots within the field ------------------------------------------
 
-_T0 = math.sqrt((1 + math.sqrt(5)) / 2)
-_S0 = math.sqrt((math.sqrt(5) - 1) / 2)
-_PHI0 = _T0 * _T0
-_DENOM_CAPS = (1, 12, 1000, 10**6)
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The non-negative rational square root of q, or None."""
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n == q.numerator and d * d == q.denominator:
+        return Fraction(n, d)
+    return None
+
+
+def _phi_sqrt(e: Fraction, f: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+    """A square root (g, h), meaning g + h*phi, of e + f*phi in Q(phi), or None.
+
+    With e + f*phi = m + n*sqrt(5), a root g' + h'*sqrt(5) needs
+    g'^2 + 5 h'^2 = m and 2 g' h' = n, so g'^2 is a root of
+    w^2 - m w + 5 n^2 / 4, which needs sqrt(m^2 - 5 n^2) in Q.  w = 0
+    forces n = 0, and then h'^2 = m / 5.
+    """
+    m, n = e + f / 2, f / 2
+    r = _rational_sqrt(m * m - 5 * n * n)
+    if r is None:
+        return None
+    for w in ((m + r) / 2, (m - r) / 2):
+        if w:
+            g = _rational_sqrt(w)
+            if g is not None:
+                h = n / (2 * g)
+                return g - h, 2 * h  # sqrt(5) = 2*phi - 1
+        else:
+            h = _rational_sqrt(m / 5)
+            if h is not None:
+                return -h, 2 * h
+    return None
 
 
 def sqrt_in_field(x: FieldElement) -> Optional[FieldElement]:
-    """A square root of x inside the field, or None if there is none.
+    """The square root of x that is >= 0 in the real embedding, or None.
 
-    The candidate is recovered numerically from the four embeddings of
-    the field (t -> +-1.272... and t -> +-0.786...i), rationalized with
-    bounded denominators, and then verified by exact squaring, so a
-    non-None result is always correct.  The search is a heuristic: a
-    genuine root with coefficient denominators beyond 10^6 is missed.
+    An exact decision down the tower.  With x = U + V*t (U, V in
+    Q(phi)), a root y = P + R*t needs P^2 + phi R^2 = U and 2 P R = V,
+    so P^2 is a root of z^2 - U z + phi V^2 / 4, which needs
+    sqrt(U^2 - phi V^2) in Q(phi); z = 0 forces V = 0, and then
+    R^2 = U / phi.  Square roots in Q(phi) reduce the same way to
+    rational ones.  Every root of x is found, and each candidate is
+    still checked by exact squaring.
     """
     if not x:
         return ZERO
-    a, b, c, d = (float(q) for q in x.coeffs)
-    x_plus = a + b * _T0 + c * _T0**2 + d * _T0**3
-    x_minus = a - b * _T0 + c * _T0**2 - d * _T0**3
-    if x_plus < -1e-12 or x_minus < -1e-12:
-        return None  # negative in a real embedding, so no square anywhere
-    z = complex(0.0, _S0)
-    x_cplx = a + b * z + c * z**2 + d * z**3
-    y_plus = math.sqrt(max(x_plus, 0.0))
-    y_minus = math.sqrt(max(x_minus, 0.0))
-    y_cplx = cmath.sqrt(x_cplx)
-    sqrt5 = math.sqrt(5.0)
-    for sign_m in (1.0, -1.0):
-        # y(t0) = P + R*t0 and y(-t0) = P - R*t0 with P = a + c*phi, R = b + d*phi.
-        p = (y_plus + sign_m * y_minus) / 2
-        r = (y_plus - sign_m * y_minus) / (2 * _T0)
-        for sign_c in (1, -1):
-            yc = sign_c * y_cplx
-            q = yc.real  # a - c*tau
-            s = yc.imag / _S0  # b - d*tau
-            cc = (p - q) / sqrt5
-            dd = (r - s) / sqrt5
-            guess = (p - cc * _PHI0, r - dd * _PHI0, cc, dd)
-            for cap in _DENOM_CAPS:
-                cand = FieldElement(*(Fraction(v).limit_denominator(cap) for v in guess))
-                if cand * cand == x:
-                    return cand
+    a, b, c, d = x.coeffs
+    u0, u1, v0, v1, den = x._cleared()
+    p, q = _relative_norm(u0, u1, v0, v1)
+    s = _phi_sqrt(Fraction(p), Fraction(q))  # sqrt(den^2 (U^2 - phi V^2))
+    if s is None:
+        return None
+    u = FieldElement(a, 0, c)
+    v = FieldElement(b, 0, d)
+    root = FieldElement(s[0] / den, 0, s[1] / den)
+    for z in ((u + root) / 2, (u - root) / 2):
+        if z:
+            g = _phi_sqrt(z.coeffs[0], z.coeffs[2])
+            if g is None:
+                continue
+            pp = FieldElement(g[0], 0, g[1])
+            cand = pp + v / (2 * pp) * T
+        else:
+            uu = u * TAU
+            g = _phi_sqrt(uu.coeffs[0], uu.coeffs[2])
+            if g is None:
+                continue
+            cand = FieldElement(0, g[0], 0, g[1])
+        if cand * cand == x:
+            return cand if cand.sign() >= 0 else -cand
     return None

@@ -11,6 +11,7 @@ indentation, so equal packings serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement, decimal_str
@@ -24,7 +25,7 @@ FORMAT_VERSION = 1
 
 APPROX_DIGITS = 12
 
-Scalar = Union[FieldElement, float]
+Scalar = Union["FieldElement", float]
 
 
 class ParseError(ValueError):
@@ -45,12 +46,12 @@ def _symbol_to_json(d: DiskSymbol) -> Dict[str, object]:
         "gamma": _scalar_to_json(d.gamma),
     }
     if d.is_exact:
-        beta = d.beta
-        if beta:
+        if d.beta:
+            r = d.beta.inverse()
             entry["approx"] = {
-                "cx": decimal_str(d.xr / beta, APPROX_DIGITS),
-                "cy": decimal_str(d.yr / beta, APPROX_DIGITS),
-                "r": decimal_str(beta.inverse(), APPROX_DIGITS),
+                "cx": decimal_str(d.xr * r, APPROX_DIGITS),
+                "cy": decimal_str(d.yr * r, APPROX_DIGITS),
+                "r": decimal_str(r, APPROX_DIGITS),
             }
         else:
             entry["approx"] = None
@@ -77,6 +78,17 @@ def _scalar_from_json(value: object, exact: bool, where: str) -> Scalar:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected number, got {type(value).__name__}")
     return float(value)
+
+
+def _finite_float(value: object, where: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ParseError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _symbol_from_json(obj: object, exact: bool, where: str) -> DiskSymbol:
@@ -203,7 +215,7 @@ def import_json(text: str) -> Packing:
     if viewport_raw is not None:
         if not isinstance(viewport_raw, list) or len(viewport_raw) != 4:
             raise ParseError("viewport: expected [xmin, ymin, xmax, ymax] or null")
-        viewport = tuple(float(v) for v in viewport_raw)
+        viewport = tuple(_finite_float(v, f"viewport[{i}]") for i, v in enumerate(viewport_raw))
 
     return Packing(
         mode=mode,

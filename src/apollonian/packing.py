@@ -30,7 +30,7 @@ from .disks import DiskSymbol, norm_ok, norm_residual, tangency_residual, tangen
 from .descartes import Quadruple, extended_ok, extended_residual, reflect_fourth
 from . import chains
 
-Scalar = Union[FieldElement, float]
+Scalar = Union["FieldElement", float]
 
 __all__ = [
     "UnknownSeed",

@@ -1,11 +1,15 @@
 """Exact arithmetic in Q[t]/(t^4 - t^2 - 1) and certified numerics."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apollonian import field
 from apollonian.field import (
     ComplexFieldElement,
     FieldElement,
@@ -32,6 +36,77 @@ coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 elements = st.builds(FieldElement, coeffs, coeffs, coeffs, coeffs)
+
+# The oracle encloses the real embedding with its own bisected bracket of
+# t, so neither it nor the strategies below touch field._BRACKET.
+_REF_BRACKET = [Fraction(1), Fraction(3, 2)]
+
+
+def reference_interval(x, eps):
+    """Rational [lo, hi] around x with hi - lo <= eps, by bisecting t."""
+    teps = Fraction(1, 1 << 32)
+    while True:
+        tlo, thi = _REF_BRACKET
+        while thi - tlo > teps:
+            mid = (tlo + thi) / 2
+            if mid * mid * (mid * mid - 1) < 1:
+                tlo = mid
+            else:
+                thi = mid
+        _REF_BRACKET[:] = tlo, thi
+        lo = hi = Fraction(0)
+        for k, coeff in enumerate(x.coeffs):
+            ends = (coeff * tlo**k, coeff * thi**k)
+            lo += min(ends)
+            hi += max(ends)
+        if hi - lo <= eps:
+            return lo, hi
+        teps /= 1 << 32
+
+
+def reference_sign(x):
+    """Sign by interval bisection: refine the enclosure until it excludes 0."""
+    if not x:
+        return 0
+    eps = Fraction(1, 1 << 20)
+    while True:
+        lo, hi = reference_interval(x, eps)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        eps /= 1 << 16
+
+
+# Huge coefficients with mixed denominators, and values within a hair of
+# zero: an element minus the midpoint of a tight enclosure of itself.
+big_coeffs = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([1, 1, 2, 3, 7, 50, 2**64 + 13]),
+)
+big_elements = st.builds(FieldElement, big_coeffs, big_coeffs, big_coeffs, big_coeffs)
+
+
+def _minus_midpoint(x, bits):
+    lo, hi = reference_interval(x, Fraction(1, 2**bits))
+    return x - (lo + hi) / 2
+
+
+near_zero = st.one_of(
+    st.builds(_minus_midpoint, big_elements, st.integers(min_value=0, max_value=256)),
+    st.builds(
+        lambda n, e: golden_power(n + 1) - PHI * golden_power(n) + e * Fraction(1, 10**30),
+        st.integers(min_value=-300, max_value=300),
+        st.sampled_from([-1, 0, 1]),
+    ),
+    st.builds(
+        lambda n, e: fibonacci(n + 1) - fibonacci(n) * PHI + e * Fraction(1, 10**30),
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([-1, 0, 1]),
+    ),
+)
+hard_elements = st.one_of(elements, big_elements, near_zero)
 
 
 class TestRingStructure:
@@ -60,6 +135,12 @@ class TestRingStructure:
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
         else:
+            assert a * a.inverse() == ONE
+
+    @given(hard_elements)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_hard(self, a):
+        if a:
             assert a * a.inverse() == ONE
 
     def test_pow_negative(self):
@@ -117,6 +198,26 @@ class TestOrdering:
     def test_comparisons(self):
         assert TAU < ONE < PHI < RHO
         assert RHO_BAR > ZERO
+
+    @given(hard_elements)
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_interval_bisection(self, a):
+        assert a.sign() == reference_sign(a)
+
+    def test_sign_of_golden_residues(self):
+        # F_{n+1} - F_n phi = (-tau)^n, within phi^-300 of zero at n = 300
+        for n in range(0, 301):
+            assert (fibonacci(n + 1) - fibonacci(n) * PHI).sign() == (-1) ** n
+            exact = golden_power(n + 1) - PHI * golden_power(n)
+            assert exact.sign() == 0
+            assert (exact + Fraction(1, 10**30)).sign() == 1
+
+    def test_sign_leaves_bracket_alone(self):
+        before = list(field._BRACKET)
+        tiny = fibonacci(1501) - fibonacci(1500) * PHI  # about 10^-313
+        assert tiny.sign() == 1
+        assert (T * tiny).sign() == 1
+        assert field._BRACKET == before
 
     def test_tight_ordering(self):
         # 1 + 4 phi^3 and phi^6 coincide; nearby values must separate
@@ -197,6 +298,17 @@ class TestSquareRoots:
     def test_rejects_rational_nonsquares(self, nonsquare):
         assert sqrt_in_field(FieldElement(nonsquare)) is None
 
+    def test_recovers_root_with_large_denominator(self):
+        root = FieldElement(Fraction(1, 1000003), Fraction(1, 7), 0, Fraction(2, 3))
+        assert sqrt_in_field(root * root) == root
+
+    @given(big_elements)
+    @settings(max_examples=40, deadline=None)
+    def test_square_then_root_big(self, a):
+        if a:
+            root = sqrt_in_field(a * a)
+            assert root == (a if a.sign() > 0 else -a)
+
     def test_rejects_negative(self):
         assert sqrt_in_field(-PHI) is None
 
@@ -245,3 +357,26 @@ class TestComplex:
     def test_abs2_matches_components(self):
         z = ComplexFieldElement(RHO, SQRT5)
         assert z.abs2() == RHO * RHO + 5
+
+
+def test_reimport_releases_previous_package():
+    # typing caches subscripted aliases; an alias over a package class
+    # would keep every previously imported copy of the package alive.
+    script = """
+import gc, sys, weakref
+def fresh():
+    for name in [m for m in sys.modules if m.split(".")[0] == "apollonian"]:
+        del sys.modules[name]
+    import apollonian.cli
+    return sys.modules["apollonian.field"].FieldElement
+first = weakref.ref(fresh())
+for _ in range(5):
+    fresh()
+gc.collect()
+assert first() is None, gc.get_referrers(first())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -66,6 +66,12 @@ class TestJson:
             (lambda d: d["disks"][0].update(beta="2 + nonsense"), "disks[0].beta"),
             (lambda d: d["quadruples"][0].update(disks=[0, 1, 2, 999]), "quadruples[0]"),
             (lambda d: d["disks"][1].update(depth=-3), "disks[1].depth"),
+            (lambda d: d.update(viewport=[None, 0, 1, 1]), "viewport"),
+            (lambda d: d.update(viewport=["0", 0, 1, 1]), "viewport"),
+            (lambda d: d.update(viewport=[True, 0, 1, 1]), "viewport"),
+            (lambda d: d.update(viewport=[0, 0, float("inf"), 1]), "viewport"),
+            (lambda d: d.update(viewport=[0, float("nan"), 1, 1]), "viewport[1]"),
+            (lambda d: d.update(viewport=[0, 0, 1, 10**400]), "viewport[3]"),
         ],
     )
     def test_parse_errors_name_the_path(self, window_packing, mutate, fragment):
@@ -174,6 +180,18 @@ class TestCli:
         out_json.write_text(json.dumps(doc))
         assert main(["verify", "--in", str(out_json)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_malformed_viewport_exits_2(self, tmp_path, capsys):
+        out_json = tmp_path / "p.json"
+        main(["generate", "--seed", "window", "--depth", "1", "--out", str(out_json)])
+        doc = json.loads(out_json.read_text())
+        doc["viewport"] = [None, 0, 1, 1]
+        out_json.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out_json)]) == 2
+        captured = capsys.readouterr()
+        assert "viewport" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_verify_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["verify", "--in", str(tmp_path / "nope.json")])
