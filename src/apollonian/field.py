@@ -21,17 +21,21 @@ roots (H. Cohen, "A Course in Computational Algebraic Number Theory",
 relative norms).  Equality is structural:
 two elements are equal iff their coefficients are.
 
-Certified interval evaluation serves only the numeric views (`approx`,
-`interval`, `decimal_str`): the real embedding t -> 1.27201965... is
-bracketed by rational endpoints that are bisected until the rounded
-answer is the same at both endpoints.
+The numeric views (`approx`, `interval`, `decimal_str`) are exact
+integer enclosures, with no shared state.  The floors of t, phi and t^3
+scaled by 2^k have closed forms in `math.isqrt`, because
+floor(sqrt(floor(y))) = floor(sqrt(y)); since t, phi and t^3 are
+irrational, den*x*2^k lies strictly inside an integer interval whose
+width is the sum of the irrational coefficients' sizes.  `approx` is
+the correctly rounded float, `decimal_str` rounds half-even, and each
+answer is a function of its argument alone.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -278,9 +282,19 @@ class FieldElement:
     # -- numeric views ---------------------------------------------------
 
     def approx(self) -> float:
-        """Float value of the real embedding (certified to ~1e-21)."""
-        lo, hi = interval(self, Fraction(1, 1 << 70))
-        return float((lo + hi) / 2)
+        """The real embedding, correctly rounded to a float.
+
+        An irrational x lies strictly inside its enclosure; once both
+        ends have one sign and round to one float, so does x (int / int
+        true division is correctly rounded).
+        """
+        if self.is_rational():
+            return float(self.coeffs[0])
+        for lo, hi, d in _refinements(self):
+            if lo >= 0 or hi <= 0:
+                f = lo / d
+                if f == hi / d:
+                    return f
 
     __float__ = approx
 
@@ -334,49 +348,86 @@ RHO_BAR = FieldElement(0, -1, 1)
 
 # -- certified interval machinery ----------------------------------------
 
-# Shrinking bracket around the positive real root of t^4 - t^2 - 1.
-# p(1) = -1 < 0 < 29/16 = p(3/2) and p is increasing on [1, 3/2], so
-# sign-based bisection is valid.  The bracket only ever tightens, so a
-# module-level cache is safe to share.
-_BRACKET = [Fraction(1), Fraction(3, 2)]
+
+def _isqrt_floors(k: int) -> Tuple[int, int, int]:
+    """floor(t * 2^k), floor(phi * 2^k) and floor(t^3 * 2^k) for k >= 0.
+
+    t^2 4^k = (4^k + sqrt(5) 4^k)/2 and t^6 4^k = 2*4^k + sqrt(5) 4^k,
+    and floor(sqrt(y)) = floor(sqrt(floor(y))).
+    """
+    s = math.isqrt(5 << 4 * k)
+    return (
+        math.isqrt(((1 << 2 * k) + s) >> 1),
+        ((1 << k) + math.isqrt(5 << 2 * k)) >> 1,
+        math.isqrt((2 << 2 * k) + s),
+    )
 
 
-def _t_bracket(eps: Fraction) -> Tuple[Fraction, Fraction]:
-    lo, hi = _BRACKET
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid * mid * (mid * mid - 1) < 1:
-            lo = mid
-        else:
-            hi = mid
-    _BRACKET[0], _BRACKET[1] = lo, hi
-    return lo, hi
+# floor(floor(y 2^K) / 2^m) = floor(y 2^(K-m)): coarser floors are shifts.
+_FLOOR_BITS = 512
+_FLOORS = _isqrt_floors(_FLOOR_BITS)
+
+
+def _t_floors(k: int) -> Tuple[int, int, int]:
+    """_isqrt_floors(k), by shifting the table when k <= _FLOOR_BITS."""
+    if k > _FLOOR_BITS:
+        return _isqrt_floors(k)
+    m = _FLOOR_BITS - k
+    return _FLOORS[0] >> m, _FLOORS[1] >> m, _FLOORS[2] >> m
+
+
+def _enclosure(cleared: Tuple[int, int, int, int, int], k: int) -> Tuple[int, int, int]:
+    """Integers (lo, spread, D) with lo < D*x < lo + spread, or D*x = lo if spread = 0.
+
+    `cleared` is x._cleared(), so den*x = u0 + v0 t + u1 phi + v1 t^3
+    and D = den * 2^k.  Each irrational term c*t^i*2^k lies strictly
+    between c*floor(t^i 2^k) and c*(floor(t^i 2^k) + 1).
+    """
+    u0, u1, v0, v1, den = cleared
+    lo = u0 << k
+    spread = 0
+    for c, f in zip((v0, u1, v1), _t_floors(k)):
+        lo += c * f
+        if c < 0:
+            lo += c
+        spread += abs(c)
+    return lo, spread, den << k
+
+
+def _refinements(x: FieldElement) -> Iterator[Tuple[int, int, int]]:
+    """Enclosures (lo, hi, D) of D*x for k = 64, 128, 256, ..."""
+    cleared = x._cleared()
+    k = 64
+    while True:
+        lo, spread, d = _enclosure(cleared, k)
+        yield lo, lo + spread, d
+        k *= 2
 
 
 def interval(x: FieldElement, eps: Rational) -> Tuple[Fraction, Fraction]:
-    """Rational enclosure [lo, hi] of the real embedding, hi - lo <= eps."""
+    """Rational enclosure [lo, hi] of the real embedding, hi - lo <= eps.
+
+    lo < x < hi for irrational x; lo = hi = x for rational x.  The width
+    is spread / (den * 2^k), so k is the least one with 2^k >= n below.
+    """
     eps = Fraction(eps)
-    teps = Fraction(1, 1 << 32)
-    while True:
-        tlo, thi = _t_bracket(teps)
-        lo = hi = _F0
-        plo = phi_pow = Fraction(1)
-        for coeff in x.coeffs:
-            if coeff > 0:
-                lo += coeff * plo
-                hi += coeff * phi_pow
-            elif coeff < 0:
-                lo += coeff * phi_pow
-                hi += coeff * plo
-            plo *= tlo
-            phi_pow *= thi
-        if hi - lo <= eps:
-            return lo, hi
-        teps /= 1 << 32
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    cleared = x._cleared()
+    _, u1, v0, v1, den = cleared
+    n = -(-(abs(u1) + abs(v0) + abs(v1)) * eps.denominator // (den * eps.numerator))
+    lo, spread, d = _enclosure(cleared, max(n - 1, 0).bit_length())
+    return Fraction(lo, d), Fraction(lo + spread, d)
 
 
-def _round_fraction(q: Fraction, digits: int) -> str:
-    scaled = round(q * 10**digits)  # exact round-half-even on Fractions
+def _round_half_even(n: int, d: int) -> int:
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
+
+
+def _format_scaled(scaled: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
     if digits == 0:
@@ -385,22 +436,21 @@ def _round_fraction(q: Fraction, digits: int) -> str:
 
 
 def decimal_str(x: FieldElement, digits: int) -> str:
-    """Decimal string, certified: both interval endpoints round identically.
+    """Decimal string, certified: both enclosure endpoints round identically.
 
     Rounding is half-even.  Rational elements are rounded exactly;
     irrational ones can never sit on a tie, so refinement terminates.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
+    scale = 10**digits
     if x.is_rational():
-        return _round_fraction(x.coeffs[0], digits)
-    eps = Fraction(1, 10 ** (digits + 4))
-    while True:
-        lo, hi = interval(x, eps)
-        slo = _round_fraction(lo, digits)
-        if slo == _round_fraction(hi, digits):
-            return slo
-        eps /= 10**4
+        q = x.coeffs[0]
+        return _format_scaled(_round_half_even(q.numerator * scale, q.denominator), digits)
+    for lo, hi, d in _refinements(x):
+        slo = _round_half_even(lo * scale, d)
+        if slo == _round_half_even(hi * scale, d):
+            return _format_scaled(slo, digits)
 
 
 # -- complex extension -----------------------------------------------------

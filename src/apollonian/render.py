@@ -112,7 +112,16 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         raise EmptyPacking("packing has no disks")
     if options.label_mode not in ("none", "curvature", "symbol"):
         raise ValueError(f"unknown label_mode {options.label_mode!r}")
-    geoms = [approx_geometry(d) for d in packing.disks]
+    # One float view per disk; float symbols are their own view.
+    views = packing.disks
+    if packing.mode == "exact":
+        views = []
+        try:
+            for d in packing.disks:
+                views.append(d.approx())
+        except OverflowError:
+            raise ValueError(f"disk {len(views)}: a component is too large for a float") from None
+    geoms = [approx_geometry(v) for v in views]
     box = options.viewport or packing.viewport or _auto_viewport(geoms)
     x0, y0, x1, y1 = box
     if not (x1 > x0 and y1 > y0):
@@ -124,16 +133,12 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
     def to_px(wx: float, wy: float) -> Tuple[float, float]:
         return (width / 2 + (wx - mid_x) * scale, height / 2 - (wy - mid_y) * scale)
 
-    # Most negative curvature first, ties broken by disk index, so equal
-    # inputs are always emitted in the same order.
-    def sort_key(i: int):
-        beta = packing.disks[i].beta
-        return (float(beta) if isinstance(beta, FieldElement) else beta, i)
-
     body: List[str] = []
     drawn = 0
     sw = options.stroke_width
-    for i in sorted(range(len(packing.disks)), key=sort_key):
+    # Most negative curvature first, ties broken by disk index, so equal
+    # inputs are always emitted in the same order.
+    for i in sorted(range(len(views)), key=lambda i: (views[i].beta, i)):
         kind = geoms[i][0]
         beta = packing.disks[i].beta
         if kind == "line":

@@ -37,23 +37,27 @@ coeffs = st.fractions(
 )
 elements = st.builds(FieldElement, coeffs, coeffs, coeffs, coeffs)
 
-# The oracle encloses the real embedding with its own bisected bracket of
-# t, so neither it nor the strategies below touch field._BRACKET.
+# The oracle encloses the real embedding by bisecting its own bracket of
+# t, independent of the closed-form isqrt enclosures in field.py.
 _REF_BRACKET = [Fraction(1), Fraction(3, 2)]
 
 
-def reference_interval(x, eps):
-    """Rational [lo, hi] around x with hi - lo <= eps, by bisecting t."""
+def reference_interval(x, eps, bracket=_REF_BRACKET):
+    """Rational [lo, hi] around x with hi - lo <= eps, by bisecting t.
+
+    The bracket only ever tightens; a fresh one makes the enclosure a
+    function of x and eps alone.
+    """
     teps = Fraction(1, 1 << 32)
     while True:
-        tlo, thi = _REF_BRACKET
+        tlo, thi = bracket
         while thi - tlo > teps:
             mid = (tlo + thi) / 2
             if mid * mid * (mid * mid - 1) < 1:
                 tlo = mid
             else:
                 thi = mid
-        _REF_BRACKET[:] = tlo, thi
+        bracket[:] = tlo, thi
         lo = hi = Fraction(0)
         for k, coeff in enumerate(x.coeffs):
             ends = (coeff * tlo**k, coeff * thi**k)
@@ -89,7 +93,9 @@ big_elements = st.builds(FieldElement, big_coeffs, big_coeffs, big_coeffs, big_c
 
 
 def _minus_midpoint(x, bits):
-    lo, hi = reference_interval(x, Fraction(1, 2**bits))
+    # A fresh bracket, so how close to zero the result is does not grow
+    # with how far earlier examples refined the shared one.
+    lo, hi = reference_interval(x, Fraction(1, 2**bits), [Fraction(1), Fraction(3, 2)])
     return x - (lo + hi) / 2
 
 
@@ -212,12 +218,15 @@ class TestOrdering:
             assert exact.sign() == 0
             assert (exact + Fraction(1, 10**30)).sign() == 1
 
-    def test_sign_leaves_bracket_alone(self):
-        before = list(field._BRACKET)
+    def test_sign_never_touches_numeric_views(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sign() used a numeric view")
+
+        monkeypatch.setattr(field, "_enclosure", refuse)
+        monkeypatch.setattr(field, "interval", refuse)
         tiny = fibonacci(1501) - fibonacci(1500) * PHI  # about 10^-313
         assert tiny.sign() == 1
         assert (T * tiny).sign() == 1
-        assert field._BRACKET == before
 
     def test_tight_ordering(self):
         # 1 + 4 phi^3 and phi^6 coincide; nearby values must separate
@@ -252,6 +261,73 @@ class TestCertifiedNumerics:
 
     def test_float_conversion(self):
         assert abs(float(PHI) - 1.618033988749895) < 1e-15
+
+    @given(hard_elements, st.integers(min_value=0, max_value=300))
+    @settings(max_examples=150, deadline=None)
+    def test_interval_encloses_exactly(self, x, bits):
+        eps = Fraction(1, 2**bits)
+        lo, hi = interval(x, eps)
+        assert hi - lo <= eps
+        if x.is_rational():
+            assert lo == hi == x.as_fraction()
+        else:
+            assert (x - lo).sign() > 0 < (hi - x).sign()
+
+    @given(hard_elements)
+    @settings(max_examples=150, deadline=None)
+    def test_approx_is_correctly_rounded(self, x):
+        eps = Fraction(1, 2**64)
+        while True:
+            lo, hi = reference_interval(x, eps)
+            # Both ends on one side of 0 and one float: x rounds to it.
+            if (lo >= 0 or hi <= 0) and float(lo) == float(hi):
+                break
+            eps *= eps
+        assert x.approx().hex() == float(lo).hex()
+
+    @given(hard_elements, st.integers(min_value=0, max_value=30))
+    @settings(max_examples=150, deadline=None)
+    def test_decimal_str_matches_reference_rounding(self, x, digits):
+        eps = Fraction(1, 10 ** (digits + 2))
+        while True:
+            lo, hi = reference_interval(x, eps)
+            scaled = round(lo * 10**digits)  # half-even
+            if scaled == round(hi * 10**digits):
+                break
+            eps /= 10**8
+        text = decimal_str(x, digits)
+        assert Fraction(text) * 10**digits == scaled
+        assert text.startswith("-") == (scaled < 0)
+        assert len(text.partition(".")[2]) == digits
+
+    def test_golden_residue_approx_in_fresh_process(self):
+        # F_{n+1} - F_n phi = (-tau)^n: the first call in a process must
+        # already be accurate, not only after earlier calls refined state.
+        script = """
+from apollonian.field import PHI, fibonacci
+for n in range(301):
+    print((fibonacci(n + 1) - fibonacci(n) * PHI).approx().hex())
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        values = [float.fromhex(line) for line in result.stdout.split()]
+        assert len(values) == 301
+        for n, value in enumerate(values):
+            lo, hi = reference_interval(fibonacci(n + 1) - fibonacci(n) * PHI, Fraction(1, 2**600))
+            assert value * (-1) ** n > 0, n
+            assert abs(Fraction(value) - lo) <= abs(lo) / 2**52, n
+
+    def test_numeric_views_do_not_depend_on_call_history(self):
+        xs = [fibonacci(n + 1) - fibonacci(n) * PHI for n in range(0, 301, 7)]
+        xs += [RHO / 7**40, SQRT_TAU * 10**200, T - Fraction(1, 3)]
+        forward = [x.approx().hex() for x in xs]
+        backward = [x.approx().hex() for x in reversed(xs)][::-1]
+        decimal_str(SQRT5, 2000)
+        again = [x.approx().hex() for x in xs]
+        assert forward == backward == again
 
 
 class TestFibonacci:

@@ -18,6 +18,11 @@ from apollonian.render import RenderOptions, render_svg
 WINDOW_D4_JSON = "3d6e0d3c83ac5767f1744c18d6d3d5c69e28c0b4d46bb692fd6a29edc4a67b0e"
 WINDOW_D4_SVG_CURVATURE = "fc78c664db6221fe5ffe30ccf330c8909bc54fa2d8a250f96d7c530e157f3346"
 BELT_D3_FLOAT_JSON = "46328258140fe5c85de4f78725c5bb9fb7ea1d4fa27a46ac29257e7d5155fe30"
+# Irrational symbols: the numeric views (decimal_str, approx) of elements
+# with t-terms, which the window and belt digests never reach.
+HALFPLANE_D3_JSON = "1f881616966ff3c14df7eac76632e7781cba69be0a469d9a59f8cfadbddbf31b"
+HALFPLANE_D3_SVG_SYMBOL = "6e461ef780864e78fc5cf5752fb7df79fa6ba681e03054055a2ae969ac6be227"
+SPIRAL_D3_FLOAT_JSON = "8611ceb9ced558effb2f80e1ca219f4bd6f9bf0aca4b0faeb3f995a1c6fcab56"
 
 
 def sha256(data):
@@ -43,6 +48,26 @@ def test_window_d4_svg_curvature_labels(window_d4_json):
 def test_belt_d3_float_json():
     doc = export_json(generate(PackingConfig(seed="belt", max_depth=3, mode="float")))
     assert sha256(doc) == BELT_D3_FLOAT_JSON
+
+
+@pytest.fixture(scope="module")
+def halfplane_d3_json():
+    return export_json(generate(PackingConfig(seed="halfplane_golden", max_depth=3)))
+
+
+def test_halfplane_d3_exact_json(halfplane_d3_json):
+    assert sha256(halfplane_d3_json) == HALFPLANE_D3_JSON
+
+
+def test_halfplane_d3_svg_symbol_labels(halfplane_d3_json):
+    svg = render_svg(import_json(halfplane_d3_json), RenderOptions(label_mode="symbol"))
+    assert sha256(svg) == HALFPLANE_D3_SVG_SYMBOL
+
+
+def test_spiral_d3_float_json():
+    # The float seed is the approx of the exact, irrational seed symbols.
+    doc = export_json(generate(PackingConfig(seed="plane_spiral", max_depth=3, mode="float")))
+    assert sha256(doc) == SPIRAL_D3_FLOAT_JSON
 
 
 def test_cli_writes_the_pinned_bytes(tmp_path):

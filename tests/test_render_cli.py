@@ -1,6 +1,9 @@
 """Serialization, SVG output, and the command-line pipeline."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +195,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert "viewport" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_render_overflowing_coefficient_exits_2(self, tmp_path):
+        out_json = tmp_path / "p.json"
+        main(["generate", "--seed", "window", "--depth", "1", "--out", str(out_json)])
+        doc = json.loads(out_json.read_text())
+        doc["disks"][1]["xr"] = "1e999 + 0*t + 0*t^2 + 0*t^3"
+        out_json.write_text(json.dumps(doc))
+        args = ["render", "--in", str(out_json), "--out", str(tmp_path / "p.svg")]
+        result = subprocess.run(
+            [sys.executable, "-m", "apollonian.cli", *args],
+            cwd=Path(__file__).resolve().parents[1] / "src",
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert "disk 1" in result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
 
     def test_verify_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["verify", "--in", str(tmp_path / "nope.json")])
