@@ -91,9 +91,6 @@ def _cmd_seeds() -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.depth is None and args.max_curvature is None:
-        print("generate: set --depth and/or --max-curvature", file=sys.stderr)
-        return 2
     max_curvature = None
     if args.max_curvature is not None:
         try:
@@ -113,8 +110,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(export_json(packing))
-    stats = packing.stats
-    print(f"{args.seed}: {stats['disk_count']} disks, {stats['quadruple_count']} quadruples -> {args.out}")
+    print(f"{args.seed}: {len(packing.disks)} disks, {len(packing.quadruples)} quadruples -> {args.out}")
     return 0
 
 

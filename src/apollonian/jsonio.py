@@ -1,11 +1,13 @@
 """Packing serialization: versioned JSON, byte-stable across runs.
 
 Exact scalars travel as canonical coefficient strings, float scalars as
-JSON numbers (repr round-trip, so no precision is lost).  Every disk
-additionally carries a human-readable approx block (center, radius) as
-certified decimal strings; half-planes get null there since they have
-no finite center.  Output is dumped with sorted keys and fixed
-indentation, so equal packings serialize to identical bytes.
+finite JSON numbers (repr round-trip, so no precision is lost).  Every
+disk additionally carries a human-readable approx block (center,
+radius) as certified decimal strings; half-planes get null there since
+they have no finite center.  The `stats` block is derived from the
+disks and quadruples: export writes it, import ignores it.  Output is
+dumped with sorted keys and fixed indentation, so equal packings
+serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -75,9 +77,7 @@ def _scalar_from_json(value: object, exact: bool, where: str) -> Scalar:
             return FieldElement.from_string(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: {exc}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}: expected number, got {type(value).__name__}")
-    return float(value)
+    return _finite_float(value, where)
 
 
 def _finite_float(value: object, where: str) -> float:
@@ -105,6 +105,7 @@ def _symbol_from_json(obj: object, exact: bool, where: str) -> DiskSymbol:
 def export_json(p: Packing) -> str:
     """Serialize a packing; equal packings produce identical bytes."""
     verdict = classify(p)
+    stats = p.stats
     disks: List[Dict[str, object]] = []
     for d, depth in zip(p.disks, p.disk_depths):
         entry = _symbol_to_json(d)
@@ -126,12 +127,7 @@ def export_json(p: Packing) -> str:
             "infimum_attained": verdict.infimum_attained,
             "note": verdict.note,
         },
-        "stats": {
-            "disk_count": p.stats["disk_count"],
-            "quadruple_count": p.stats["quadruple_count"],
-            "max_depth": p.stats["max_depth"],
-            "per_depth": {str(k): v for k, v in sorted(p.stats["per_depth"].items())},
-        },
+        "stats": {**stats, "per_depth": {str(k): v for k, v in stats["per_depth"].items()}},
         "viewport": list(p.viewport) if p.viewport is not None else None,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -193,23 +189,6 @@ def import_json(text: str) -> Packing:
             raise ParseError(f"quadruples[{i}].depth: expected a non-negative integer")
         quadruples.append((tuple(indices), depth))
 
-    stats_raw = doc.get("stats")
-    if not isinstance(stats_raw, dict):
-        raise ParseError("stats: expected object")
-    per_depth_raw = stats_raw.get("per_depth", {})
-    if not isinstance(per_depth_raw, dict):
-        raise ParseError("stats.per_depth: expected object")
-    try:
-        per_depth = {int(k): v for k, v in per_depth_raw.items()}
-    except ValueError:
-        raise ParseError("stats.per_depth: keys must be integers") from None
-    stats = {
-        "disk_count": stats_raw.get("disk_count", len(disks)),
-        "quadruple_count": stats_raw.get("quadruple_count", len(quadruples)),
-        "max_depth": stats_raw.get("max_depth", max(depths)),
-        "per_depth": per_depth,
-    }
-
     viewport_raw = doc.get("viewport")
     viewport: Optional[Tuple[float, float, float, float]] = None
     if viewport_raw is not None:
@@ -224,6 +203,5 @@ def import_json(text: str) -> Packing:
         disks=disks,
         disk_depths=depths,
         quadruples=quadruples,
-        stats=stats,
         viewport=viewport,
     )

@@ -1,13 +1,18 @@
-"""Packing generation by reflection, with dedup, budgets, and taxonomy.
+"""Packing generation by reflection, with budgets and taxonomy.
 
 Starting from a seed Descartes configuration, every curvilinear gap is
 filled by swapping one disk of a known quadruple for its mirror
 completion.  The orbit is walked breadth first; each frontier entry
 remembers which index was just replaced so the reflection that would
-re-create the parent is skipped.  Disks and quadruples are deduplicated
-(exactly in exact mode, on a 1e-8 grid in float mode) and the final
-disk list is sorted by (depth, canonical symbol), so the output is
-deterministic regardless of traversal details.
+re-create the parent is skipped.  Nothing needs deduplicating: the walk
+enumerates reduced words of the Apollonian group, which acts freely on
+ordered Descartes quadruples (Graham, Lagarias, Mallows, Wilks, Yan,
+"Apollonian circle packings: geometry and group theory I",
+arXiv:math/0010298), so every quadruple is met once and each one adds
+exactly one new disk.  Disks are carried by position in creation
+order; at the end they are sorted by (depth, symbol) and the quadruple
+rows are renumbered through that permutation, so the output does not
+depend on traversal details.
 
 Classification follows the curvature taxonomy: the sign of the minimal
 curvature and the number of zero-curvature disks decide types A, B and
@@ -19,7 +24,7 @@ instead of a guess.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -99,9 +104,14 @@ def builtin_seed(name: str) -> Quadruple:
 class PackingConfig:
     """Generation budget and mode.
 
-    At least one of max_depth / max_curvature must be set.  In exact
-    mode max_curvature may be an int, Fraction or FieldElement; in
-    float mode it is coerced to float.  The optional viewport is kept
+    At least one of max_depth / max_curvature must be set.  A cap
+    alone bounds the orbit only when the seed has a negative-curvature
+    disk: that disk encloses the packing, whose disks then have areas
+    summing to at most its own, so finitely many lie below the cap.
+    Strips, half-planes and the plane hold infinitely many, so
+    `generate` rejects a cap alone for them.  In exact mode
+    max_curvature may be an int, Fraction or FieldElement; in float
+    mode it is coerced to float.  The optional viewport is kept
     for output stages (rendering); it never affects expansion.
     """
 
@@ -120,11 +130,20 @@ class Packing:
     disks: List[DiskSymbol]
     disk_depths: List[int]
     quadruples: List[Tuple[Tuple[int, int, int, int], int]]
-    stats: Dict[str, object]
     viewport: Optional[Tuple[float, float, float, float]] = None
 
     def curvatures(self) -> List[Scalar]:
         return [d.beta for d in self.disks]
+
+    @property
+    def stats(self) -> Dict[str, object]:
+        """Counts derived from `disk_depths` and `quadruples`."""
+        return {
+            "disk_count": len(self.disk_depths),
+            "quadruple_count": len(self.quadruples),
+            "per_depth": dict(Counter(self.disk_depths)),
+            "max_depth": max(self.disk_depths, default=0),
+        }
 
 
 @dataclass(frozen=True)
@@ -134,12 +153,6 @@ class PackingType:
     zero_curvature_disks: int
     infimum_attained: Optional[bool]
     note: str = ""
-
-
-def _canonical_key(d: DiskSymbol) -> Tuple:
-    if d.is_exact:
-        return tuple(c.coeffs for c in d.components())
-    return tuple(round(v * 1e8) for v in (d.xr, d.yr, d.beta))
 
 
 def _sort_key(d: DiskSymbol) -> Tuple:
@@ -154,11 +167,16 @@ def _is_zero_curvature(beta: Scalar) -> bool:
     return abs(beta) < 1e-12
 
 
-def _beta_exceeds(beta: Scalar, bound: Union[int, Fraction, float, FieldElement]) -> bool:
+def _curvature_sign(beta: Scalar) -> int:
     if isinstance(beta, FieldElement):
-        limit = bound if isinstance(bound, FieldElement) else FieldElement(Fraction(bound))
+        return beta.sign()
+    return 0 if _is_zero_curvature(beta) else (1 if beta > 0 else -1)
+
+
+def _beta_exceeds(beta: Scalar, limit: Scalar) -> bool:
+    if isinstance(beta, FieldElement):
         return (beta - limit).sign() > 0
-    return beta > float(bound)
+    return beta > limit
 
 
 def generate(config: PackingConfig) -> Packing:
@@ -179,71 +197,51 @@ def generate(config: PackingConfig) -> Packing:
             raise InvalidSeed("seed quadruple fails the configuration identity")
     elif extended_residual(seed) > 1e-6:
         raise InvalidSeed("float seed residual exceeds 1e-6")
+    if config.max_depth is None and not any(_curvature_sign(b) < 0 for b in seed.curvatures()):
+        raise ValueError(
+            "a curvature cap alone bounds only a packing with an enclosing "
+            "negative-curvature disk; set max_depth"
+        )
+    cap = config.max_curvature
+    if cap is not None:
+        if not seed.is_exact:
+            cap = float(cap)
+        elif not isinstance(cap, FieldElement):
+            cap = FieldElement(Fraction(cap))
 
-    disk_index: Dict[Tuple, int] = {}
-    disks: List[DiskSymbol] = []
-    depths: List[int] = []
-
-    def intern(d: DiskSymbol, depth: int) -> None:
-        key = _canonical_key(d)
-        if key not in disk_index:
-            disk_index[key] = len(disks)
-            disks.append(d)
-            depths.append(depth)
-
-    for d in seed.disks:
-        intern(d, 0)
-    quad_keys = {frozenset(_canonical_key(d) for d in seed.disks)}
-    quads: List[Tuple[Quadruple, int]] = [(seed, 0)]
-    frontier = deque([(seed, -1, 0)])
+    disks: List[DiskSymbol] = list(seed.disks)
+    depths: List[int] = [0] * 4
+    rows: List[Tuple[Tuple[int, int, int, int], int]] = [((0, 1, 2, 3), 0)]
+    frontier = deque([(seed, (0, 1, 2, 3), -1, 0)])
     while frontier:
-        quad, skip, depth = frontier.popleft()
+        quad, idx, skip, depth = frontier.popleft()
         if config.max_depth is not None and depth >= config.max_depth:
             continue
         for i in range(4):
             if i == skip:
                 continue
             mirrored = reflect_fourth(quad, i)
-            if config.max_curvature is not None and _beta_exceeds(
-                mirrored.beta, config.max_curvature
-            ):
+            if cap is not None and _beta_exceeds(mirrored.beta, cap):
                 continue
+            child_idx = idx[:i] + (len(disks),) + idx[i + 1 :]
+            disks.append(mirrored)
+            depths.append(depth + 1)
+            rows.append((child_idx, depth + 1))
             replaced = list(quad.disks)
             replaced[i] = mirrored
-            child = Quadruple(tuple(replaced))
-            child_key = frozenset(_canonical_key(d) for d in child.disks)
-            if child_key in quad_keys:
-                continue
-            quad_keys.add(child_key)
-            intern(mirrored, depth + 1)
-            quads.append((child, depth + 1))
-            frontier.append((child, i, depth + 1))
+            frontier.append((Quadruple(tuple(replaced)), child_idx, i, depth + 1))
 
     order = sorted(range(len(disks)), key=lambda i: (depths[i], _sort_key(disks[i])))
-    final_index = {_canonical_key(disks[i]): rank for rank, i in enumerate(order)}
-    sorted_disks = [disks[i] for i in order]
-    sorted_depths = [depths[i] for i in order]
-    quad_rows = [
-        (tuple(final_index[_canonical_key(d)] for d in q.disks), depth)
-        for q, depth in quads
-    ]
-    per_depth: Dict[int, int] = {}
-    for depth in sorted_depths:
-        per_depth[depth] = per_depth.get(depth, 0) + 1
-    stats = {
-        "disk_count": len(sorted_disks),
-        "quadruple_count": len(quad_rows),
-        "per_depth": per_depth,
-        "max_depth": max(sorted_depths) if sorted_depths else 0,
-    }
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
     return Packing(
-        mode="float" if not seed.is_exact else "exact",
+        mode=config.mode,
         seed=seed,
         seed_name=seed_name,
-        disks=sorted_disks,
-        disk_depths=sorted_depths,
-        quadruples=quad_rows,
-        stats=stats,
+        disks=[disks[i] for i in order],
+        disk_depths=[depths[i] for i in order],
+        quadruples=[(tuple(rank[j] for j in idx), depth) for idx, depth in rows],
         viewport=config.viewport,
     )
 
@@ -264,10 +262,7 @@ def classify(p: Packing) -> PackingType:
     betas = p.curvatures()
     zero_count = sum(1 for b in betas if _is_zero_curvature(b))
     smallest = _min_curvature(betas)
-    if isinstance(smallest, FieldElement):
-        min_sign = smallest.sign()
-    else:
-        min_sign = 0 if _is_zero_curvature(smallest) else (1 if smallest > 0 else -1)
+    min_sign = _curvature_sign(smallest)
     if min_sign < 0:
         return PackingType("A", smallest, zero_count, True, "negative-curvature disk present")
     if min_sign == 0 and zero_count == 2:

@@ -1,4 +1,9 @@
-"""Orbit generation, dedup, classification, and spectrum checks."""
+"""Orbit generation, classification, spectrum and verify checks.
+
+Generation keeps no dedup: skip-parent BFS meets every disk and every
+quadruple of the orbit once, so the tests pin disks = quadruples + 3,
+one new disk per quadruple row and 4·3^(k-1) disks at depth k.
+"""
 
 import dataclasses
 from fractions import Fraction
@@ -75,6 +80,33 @@ class TestGenerate:
         )
         with pytest.raises(InvalidSeed):
             generate(PackingConfig(seed=broken, max_depth=1))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("name", ["belt", "halfplane_golden", "plane_spiral"])
+    def test_cap_alone_needs_negative_curvature(self, name, mode):
+        with pytest.raises(ValueError, match="negative-curvature"):
+            generate(PackingConfig(seed=name, max_curvature=10, mode=mode))
+
+    @given(
+        name=st.sampled_from(BUILTIN_SEEDS),
+        mode=st.sampled_from(["exact", "float"]),
+        depth=st.integers(0, 5),
+        cap=st.none() | st.integers(1, 60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_new_disk_per_quadruple(self, name, mode, depth, cap):
+        p = generate(PackingConfig(seed=name, max_depth=depth, max_curvature=cap, mode=mode))
+        assert len(p.disks) == len(p.quadruples) + 3
+        assert sorted(p.quadruples[0][0]) == [0, 1, 2, 3] and p.quadruples[0][1] == 0
+        introduced = []
+        for indices, k in p.quadruples[1:]:
+            depths = [p.disk_depths[i] for i in indices]
+            assert depths.count(k) == 1 and max(depths) == k
+            introduced.append(indices[depths.index(k)])
+        assert sorted(introduced) == list(range(4, len(p.disks)))
+        if cap is None:
+            expected = {k: 4 if k == 0 else 4 * 3 ** (k - 1) for k in range(depth + 1)}
+            assert p.stats["per_depth"] == expected
 
     def test_window_counts(self):
         p = generate(PackingConfig(seed="window", max_depth=4))

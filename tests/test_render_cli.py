@@ -1,6 +1,7 @@
 """Serialization, SVG output, and the command-line pipeline."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,32 @@ from apollonian.cli import main
 from apollonian.jsonio import FORMAT_VERSION, ParseError, export_json, import_json
 from apollonian.packing import PackingConfig, generate
 from apollonian.render import EmptyPacking, RenderOptions, render_svg
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args, timeout=120):
+    """Run the CLI in a fresh interpreter, so a traceback or a hang shows."""
+    return subprocess.run(
+        [sys.executable, "-m", "apollonian.cli", *args],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def float_xr(value):
+    """A mutation that swaps in a float document with `value` as disks[1].xr."""
+
+    def mutate(doc):
+        p = generate(PackingConfig(seed="plane_spiral", max_depth=2, mode="float"))
+        doc.clear()
+        doc.update(json.loads(export_json(p)))
+        doc["disks"][1]["xr"] = value
+
+    return mutate
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +102,35 @@ class TestJson:
             (lambda d: d.update(viewport=[0, 0, float("inf"), 1]), "viewport"),
             (lambda d: d.update(viewport=[0, float("nan"), 1, 1]), "viewport[1]"),
             (lambda d: d.update(viewport=[0, 0, 1, 10**400]), "viewport[3]"),
+            (float_xr(math.inf), "disks[1].xr"),
+            (float_xr(math.nan), "disks[1].xr"),
+            (float_xr(10**400), "disks[1].xr"),
         ],
     )
-    def test_parse_errors_name_the_path(self, window_packing, mutate, fragment):
+    def test_parse_errors_name_the_path(self, window_packing, tmp_path, capsys, mutate, fragment):
         doc = json.loads(export_json(window_packing))
         mutate(doc)
+        text = json.dumps(doc)
         with pytest.raises(ParseError) as err:
-            import_json(json.dumps(doc))
+            import_json(text)
         assert fragment in str(err.value)
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        for command in (["verify"], ["render", "--out", str(tmp_path / "p.svg")]):
+            assert main([*command, "--in", str(path)]) == 2
+            assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stats", [{"disk_count": "abc", "per_depth": {}}, None], ids=["garbage", "missing"]
+    )
+    def test_stats_derived_on_import(self, window_packing, stats):
+        text = export_json(window_packing)
+        doc = json.loads(text)
+        if stats is None:
+            del doc["stats"]
+        else:
+            doc["stats"] = stats
+        assert export_json(import_json(json.dumps(doc))) == text
 
     def test_not_json(self):
         with pytest.raises(ParseError):
@@ -170,6 +218,17 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["belt", "halfplane_golden", "plane_spiral"])
+    def test_generate_cap_alone_exits_2(self, tmp_path, seed):
+        out_json = tmp_path / "cap.json"
+        result = run_cli(
+            "generate", "--seed", seed, "--max-curvature", "10", "--out", str(out_json), timeout=10
+        )
+        assert result.returncode == 2
+        assert "negative-curvature" in result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert not out_json.exists()
+
     def test_unknown_seed_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--seed", "bogus", "--depth", "1", "--out", str(tmp_path / "x.json")])
         capsys.readouterr()
@@ -202,14 +261,7 @@ class TestCli:
         doc = json.loads(out_json.read_text())
         doc["disks"][1]["xr"] = "1e999 + 0*t + 0*t^2 + 0*t^3"
         out_json.write_text(json.dumps(doc))
-        args = ["render", "--in", str(out_json), "--out", str(tmp_path / "p.svg")]
-        result = subprocess.run(
-            [sys.executable, "-m", "apollonian.cli", *args],
-            cwd=Path(__file__).resolve().parents[1] / "src",
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_cli("render", "--in", str(out_json), "--out", str(tmp_path / "p.svg"))
         assert result.returncode == 2
         assert "disk 1" in result.stderr
         assert "Traceback" not in result.stdout + result.stderr
