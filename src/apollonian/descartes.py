@@ -168,8 +168,8 @@ def reflect_fourth(q: Quadruple, index: int, check: bool = False) -> DiskSymbol:
     if check:
         q.validate()
     others = [d for i, d in enumerate(q.disks) if i != index]
-    doubled = (others[0] + others[1] + others[2]).scaled(2)
-    return doubled - q.disks[index]
+    total = others[0] + others[1] + others[2]
+    return total + total - q.disks[index]
 
 
 def _q_functional(d: DiskSymbol) -> Tuple[float, float, float, float]:

@@ -35,7 +35,6 @@ __all__ = [
     "CenterSingularity",
     "inner",
     "norm_ok",
-    "norm_residual",
     "tangent",
     "tangency_residual",
     "from_center_radius",
@@ -143,14 +142,6 @@ def inner(d1: DiskSymbol, d2: DiskSymbol) -> Scalar:
 def norm_ok(d: DiskSymbol) -> bool:
     """Exact test <d, d> = -1."""
     return inner(d, d) == -1
-
-
-def norm_residual(d: DiskSymbol) -> float:
-    """|<d, d> + 1| as a float; 0.0 for valid symbols."""
-    value = inner(d, d)
-    if isinstance(value, FieldElement):
-        return abs((value + 1).approx())
-    return abs(value + 1.0)
 
 
 def tangent(d1: DiskSymbol, d2: DiskSymbol) -> bool:

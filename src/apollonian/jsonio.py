@@ -166,7 +166,7 @@ def import_json(text: str) -> Packing:
     for i, obj in enumerate(disks_raw):
         disks.append(_symbol_from_json(obj, exact, f"disks[{i}]"))
         depth = obj.get("depth") if isinstance(obj, dict) else None
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        if type(depth) is not int or depth < 0:
             raise ParseError(f"disks[{i}].depth: expected a non-negative integer")
         depths.append(depth)
 
@@ -181,11 +181,11 @@ def import_json(text: str) -> Packing:
         if (
             not isinstance(indices, list)
             or len(indices) != 4
-            or not all(isinstance(k, int) and 0 <= k < len(disks) for k in indices)
+            or not all(type(k) is int and 0 <= k < len(disks) for k in indices)
         ):
             raise ParseError(f"quadruples[{i}].disks: expected 4 valid disk indices")
         depth = obj.get("depth")
-        if not isinstance(depth, int) or depth < 0:
+        if type(depth) is not int or depth < 0:
             raise ParseError(f"quadruples[{i}].depth: expected a non-negative integer")
         quadruples.append((tuple(indices), depth))
 

@@ -18,7 +18,6 @@ from apollonian.disks import (
     invert_point,
     invert_unit_circle,
     norm_ok,
-    norm_residual,
     reflect_in_disk,
     tangency_residual,
     tangent,
@@ -63,7 +62,7 @@ class TestConstruction:
     def test_float_symbols(self):
         d = DiskSymbol(0.0, 0.0, 1.0, -1.0)
         assert not d.is_exact
-        assert norm_residual(d) == 0.0
+        assert inner(d, d) == -1.0
 
 
 class TestNormAndInner:

@@ -6,6 +6,7 @@ one new disk per quadruple row and 4·3^(k-1) disks at depth k.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
@@ -18,6 +19,7 @@ from apollonian.disks import invert_unit_circle, norm_ok, tangent
 from apollonian.field import PHI, TAU, FieldElement
 from apollonian.packing import (
     BUILTIN_SEEDS,
+    FLOAT_TOL,
     InvalidSeed,
     PackingConfig,
     UnknownSeed,
@@ -254,11 +256,47 @@ class TestVerify:
         assert report["extended_violations"] == []
         assert report["tangency_violations"] == []
 
-    def test_float_packings_verify(self):
-        p = generate(PackingConfig(seed="plane_spiral", max_depth=3, mode="float"))
-        report = verify_packing(p)
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_float_packings_verify(self, name):
+        report = verify_packing(_float_depth_eight(name))
         assert report["ok"]
-        assert report["max_extended_residual"] < 1e-9
+        assert report["max_extended_residual"] <= FLOAT_TOL
+        assert list(report)[-3:] == [
+            "max_norm_residual",
+            "max_extended_residual",
+            "max_tangency_residual",
+        ]
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_float_tolerance_is_scale_relative(self, name):
+        # Shifting the largest component of a deepest disk by 1e-6 of its
+        # size is a violation; a 2-ulp shift is rounding and passes.
+        p = _float_depth_eight(name)
+        i = len(p.disks) - 1
+        d = p.disks[i]
+        key = max(COMPONENTS, key=lambda c: abs(getattr(d, c)))
+        value = getattr(d, key)
+        moved = math.nextafter(math.nextafter(value, math.inf), math.inf)
+        for shifted, ok in ((value + 1e-6 * abs(value), False), (moved, True)):
+            copy = dataclasses.replace(p, disks=list(p.disks))
+            copy.disks[i] = dataclasses.replace(d, **{key: shifted})
+            report = verify_packing(copy)
+            assert report["ok"] is ok
+            flagged = i in report["norm_violations"] or any(
+                i in v[1:] for v in report["tangency_violations"]
+            )
+            assert flagged is not ok
+            assert (report["max_extended_residual"] <= FLOAT_TOL) is ok
+
+    def test_float_overflow_is_a_violation(self):
+        # <d, d> overflows to -inf and the scale to inf: inf/inf is NaN,
+        # which must count as a violation and report as inf.
+        p = generate(PackingConfig(seed="window", max_depth=1, mode="float"))
+        p.disks[5] = dataclasses.replace(p.disks[5], xr=1e200)
+        report = verify_packing(p)
+        assert not report["ok"]
+        assert report["norm_violations"] == [5]
+        assert report["max_norm_residual"] == math.inf
 
     def test_violations_reported(self):
         p = generate(PackingConfig(seed="window", max_depth=1))
@@ -306,6 +344,11 @@ def oracle_verify(p):
         "tangency_violations": tangency_violations,
         "ok": not (norm_violations or extended_violations or tangency_violations),
     }
+
+
+@lru_cache(maxsize=None)
+def _float_depth_eight(name):
+    return generate(PackingConfig(seed=name, max_depth=8, mode="float"))
 
 
 @lru_cache(maxsize=None)

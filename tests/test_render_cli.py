@@ -95,6 +95,8 @@ class TestJson:
             (lambda d: d["disks"][0].pop("beta"), "disks[0]"),
             (lambda d: d["disks"][0].update(beta="2 + nonsense"), "disks[0].beta"),
             (lambda d: d["quadruples"][0].update(disks=[0, 1, 2, 999]), "quadruples[0]"),
+            (lambda d: d["quadruples"][0].update(disks=[0, 1, 2, True]), "quadruples[0].disks"),
+            (lambda d: d["quadruples"][0].update(depth=True), "quadruples[0].depth"),
             (lambda d: d["disks"][1].update(depth=-3), "disks[1].depth"),
             (lambda d: d.update(viewport=[None, 0, 1, 1]), "viewport"),
             (lambda d: d.update(viewport=["0", 0, 1, 1]), "viewport"),
