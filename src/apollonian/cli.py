@@ -16,17 +16,9 @@ from typing import List, Optional
 from . import chains
 from .field import FieldElement, decimal_str, PHI, TAU, SQRT5, SQRT_PHI, SQRT_TAU, RHO, RHO_BAR, OMEGA
 from .disks import DiskSymbol
-from .jsonio import ParseError, export_json, import_json
-from .packing import (
-    BUILTIN_SEEDS,
-    InvalidSeed,
-    PackingConfig,
-    UnknownSeed,
-    classify,
-    generate,
-    verify_packing,
-)
-from .render import EmptyPacking, RenderOptions, render_svg
+from .jsonio import export_json, import_json
+from .packing import BUILTIN_SEEDS, PackingConfig, classify, generate, verify_packing
+from .render import RenderOptions, render_svg
 
 _SEED_BLURBS = {
     "window": "unit disk split by two half-disks and their gap filler (type A)",
@@ -98,8 +90,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"generate: bad --max-curvature {args.max_curvature!r}", file=sys.stderr)
             return 2
-        if args.mode == "float":
-            max_curvature = float(max_curvature)
     packing = generate(
         PackingConfig(
             seed=args.seed,
@@ -160,12 +150,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     with open(args.infile, "r", encoding="utf-8") as handle:
         packing = import_json(handle.read())
     verdict = classify(packing)
-    if isinstance(verdict.min_curvature, FieldElement):
-        smallest = decimal_str(verdict.min_curvature, 6)
-    else:
-        smallest = f"{verdict.min_curvature:.6f}"
     print(f"type: {verdict.tag}")
-    print(f"min_curvature: {smallest}")
+    print(f"min_curvature: {verdict.min_curvature:.6f}")
     print(f"zero_curvature_disks: {verdict.zero_curvature_disks}")
     print(f"infimum_attained: {verdict.infimum_attained}")
     print(f"note: {verdict.note}")
@@ -246,13 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "constants":
             return _cmd_constants()
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, UnknownSeed, InvalidSeed, EmptyPacking) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ParseError, UnknownSeed, InvalidSeed and EmptyPacking are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

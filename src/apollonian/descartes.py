@@ -84,10 +84,6 @@ class Quadruple:
     def __getitem__(self, index: int) -> DiskSymbol:
         return self.disks[index]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.disks[0].is_exact
-
     def curvatures(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
         return tuple(d.beta for d in self.disks)
 
@@ -124,16 +120,9 @@ def extended_ok(q: Quadruple) -> bool:
 
 
 def extended_residual(q: Quadruple) -> float:
-    """Max componentwise |M F M^T - G| as a float (for float quadruples)."""
+    """Max componentwise |M F M^T - G| as a float, in either mode."""
     product = _mfmt(q)
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            diff = product[i][j] - G_TARGET[i][j]
-            if isinstance(diff, FieldElement):
-                diff = diff.approx()
-            worst = max(worst, abs(diff))
-    return worst
+    return max(abs(float(product[i][j] - G_TARGET[i][j])) for i in range(4) for j in range(4))
 
 
 def fourth_curvatures(

@@ -150,10 +150,7 @@ def tangent(d1: DiskSymbol, d2: DiskSymbol) -> bool:
 
 
 def tangency_residual(d1: DiskSymbol, d2: DiskSymbol) -> float:
-    value = inner(d1, d2)
-    if isinstance(value, FieldElement):
-        return abs((value - 1).approx())
-    return abs(value - 1.0)
+    return abs(float(inner(d1, d2) - 1))
 
 
 def from_center_radius(e: EuclideanDisk) -> DiskSymbol:

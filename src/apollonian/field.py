@@ -34,6 +34,7 @@ answer is a function of its argument alone.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
 
@@ -94,6 +95,18 @@ def _relative_norm(u0: int, u1: int, v0: int, v1: int) -> Tuple[int, int]:
     """
     vv = 2 * v0 * v1 + v1 * v1
     return u0 * u0 + u1 * u1 - vv, (2 * u0 + u1) * u1 - v0 * v0 - vv - v1 * v1
+
+
+def _by_sign(op):
+    """Rich comparison op(sign(self - other), 0) under the real embedding."""
+
+    def compare(self: "FieldElement", other: object) -> bool:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return op(diff.sign(), 0)
+
+    return compare
 
 
 class FieldElement:
@@ -255,29 +268,10 @@ class FieldElement:
             return su or sv
         return su * _phi_sign(*_relative_norm(u0, u1, v0, v1))
 
-    def __lt__(self, other: object) -> bool:
-        o = _as_coeffs(other)
-        if o is None:
-            return NotImplemented
-        return (self - FieldElement._raw(o)).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        o = _as_coeffs(other)
-        if o is None:
-            return NotImplemented
-        return (self - FieldElement._raw(o)).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        o = _as_coeffs(other)
-        if o is None:
-            return NotImplemented
-        return (self - FieldElement._raw(o)).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        o = _as_coeffs(other)
-        if o is None:
-            return NotImplemented
-        return (self - FieldElement._raw(o)).sign() >= 0
+    __lt__ = _by_sign(operator.lt)
+    __le__ = _by_sign(operator.le)
+    __gt__ = _by_sign(operator.gt)
+    __ge__ = _by_sign(operator.ge)
 
     # -- numeric views ---------------------------------------------------
 
@@ -297,6 +291,13 @@ class FieldElement:
                     return f
 
     __float__ = approx
+
+    def __format__(self, spec: str) -> str:
+        """`.Nf` is decimal_str(self, N); every other spec is object's."""
+        digits = spec[1:-1]
+        if spec[:1] == "." and spec[-1:] == "f" and digits.isdecimal():
+            return decimal_str(self, int(digits))
+        return super().__format__(spec)
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits."""

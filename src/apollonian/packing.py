@@ -28,12 +28,11 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, inner
-from .descartes import Quadruple, extended_ok, extended_residual, reflect_fourth
+from .descartes import Quadruple, reflect_fourth
 from . import chains
 
 Scalar = Union["FieldElement", float]
@@ -156,9 +155,11 @@ class PackingType:
     note: str = ""
 
 
-def _sort_key(d: DiskSymbol) -> Tuple:
-    if d.is_exact:
-        return tuple(c.to_string() for c in d.components())
+def _exact_key(d: DiskSymbol) -> Tuple:
+    return tuple(c.to_string() for c in d.components())
+
+
+def _float_key(d: DiskSymbol) -> Tuple:
     return tuple(round(v * 1e8) for v in d.components())
 
 
@@ -169,15 +170,7 @@ def _is_zero_curvature(beta: Scalar) -> bool:
 
 
 def _curvature_sign(beta: Scalar) -> int:
-    if isinstance(beta, FieldElement):
-        return beta.sign()
     return 0 if _is_zero_curvature(beta) else (1 if beta > 0 else -1)
-
-
-def _beta_exceeds(beta: Scalar, limit: Scalar) -> bool:
-    if isinstance(beta, FieldElement):
-        return (beta - limit).sign() > 0
-    return beta > limit
 
 
 def generate(config: PackingConfig) -> Packing:
@@ -193,11 +186,14 @@ def generate(config: PackingConfig) -> Packing:
         seed = Quadruple(tuple(d.approx() for d in seed.disks))
     elif config.mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'float', not {config.mode!r}")
-    if seed.is_exact:
-        if not extended_ok(seed):
-            raise InvalidSeed("seed quadruple fails the configuration identity")
-    elif extended_residual(seed) > 1e-6:
-        raise InvalidSeed("float seed residual exceeds 1e-6")
+    elif not all(isinstance(v, FieldElement) for d in seed for v in d.components()):
+        raise InvalidSeed("exact mode needs FieldElement seed components")
+    disks: List[DiskSymbol] = list(seed.disks)
+    depths: List[int] = [0] * 4
+    rows: List[Tuple[Tuple[int, int, int, int], int]] = [((0, 1, 2, 3), 0)]
+    # The seed is the depth-0 row, checked by verify's test and tolerance.
+    if not verify_packing(Packing(config.mode, seed, seed_name, disks, depths, rows))["ok"]:
+        raise InvalidSeed(f"seed quadruple fails the configuration identity ({config.mode} mode)")
     if config.max_depth is None and not any(_curvature_sign(b) < 0 for b in seed.curvatures()):
         raise ValueError(
             "a curvature cap alone bounds only a packing with an enclosing "
@@ -205,14 +201,11 @@ def generate(config: PackingConfig) -> Packing:
         )
     cap = config.max_curvature
     if cap is not None:
-        if not seed.is_exact:
+        if config.mode == "float":
             cap = float(cap)
         elif not isinstance(cap, FieldElement):
             cap = FieldElement(Fraction(cap))
 
-    disks: List[DiskSymbol] = list(seed.disks)
-    depths: List[int] = [0] * 4
-    rows: List[Tuple[Tuple[int, int, int, int], int]] = [((0, 1, 2, 3), 0)]
     frontier = deque([(seed, (0, 1, 2, 3), -1, 0)])
     while frontier:
         quad, idx, skip, depth = frontier.popleft()
@@ -222,7 +215,7 @@ def generate(config: PackingConfig) -> Packing:
             if i == skip:
                 continue
             mirrored = reflect_fourth(quad, i)
-            if cap is not None and _beta_exceeds(mirrored.beta, cap):
+            if cap is not None and mirrored.beta > cap:
                 continue
             child_idx = idx[:i] + (len(disks),) + idx[i + 1 :]
             disks.append(mirrored)
@@ -232,7 +225,8 @@ def generate(config: PackingConfig) -> Packing:
             replaced[i] = mirrored
             frontier.append((Quadruple(tuple(replaced)), child_idx, i, depth + 1))
 
-    order = sorted(range(len(disks)), key=lambda i: (depths[i], _sort_key(disks[i])))
+    sort_key = _exact_key if config.mode == "exact" else _float_key
+    order = sorted(range(len(disks)), key=lambda i: (depths[i], sort_key(disks[i])))
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
@@ -247,22 +241,11 @@ def generate(config: PackingConfig) -> Packing:
     )
 
 
-def _min_curvature(curvatures: Sequence[Scalar]) -> Scalar:
-    smallest = curvatures[0]
-    for beta in curvatures[1:]:
-        if isinstance(beta, FieldElement):
-            if (beta - smallest).sign() < 0:
-                smallest = beta
-        elif beta < smallest:
-            smallest = beta
-    return smallest
-
-
 def classify(p: Packing) -> PackingType:
     """Curvature taxonomy verdict with the evidence that backs it."""
     betas = p.curvatures()
     zero_count = sum(1 for b in betas if _is_zero_curvature(b))
-    smallest = _min_curvature(betas)
+    smallest = min(betas)
     min_sign = _curvature_sign(smallest)
     if min_sign < 0:
         return PackingType("A", smallest, zero_count, True, "negative-curvature disk present")
@@ -292,12 +275,7 @@ def curvature_spectrum(p: Packing) -> List[Tuple[Scalar, int]]:
     counts: Dict[Scalar, int] = {}
     for beta in p.curvatures():
         counts[beta] = counts.get(beta, 0) + 1
-    groups = list(counts.items())
-    if groups and isinstance(groups[0][0], FieldElement):
-        groups.sort(key=cmp_to_key(lambda a, b: (a[0] - b[0]).sign()))
-    else:
-        groups.sort(key=lambda pair: pair[0])
-    return groups
+    return sorted(counts.items(), key=lambda pair: pair[0])
 
 
 def verify_packing(p: Packing) -> Dict[str, object]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .field import FieldElement, decimal_str
 from .disks import DiskSymbol, approx_geometry
 from .packing import Packing
 
@@ -85,26 +84,18 @@ def _clip_line(
     return (ax, ay, bx, by)
 
 
-def _curvature_label(beta, digits: int) -> str:
-    if isinstance(beta, FieldElement):
-        if beta.is_rational():
-            q = beta.as_fraction()
-            if q.denominator == 1:
-                return str(q.numerator)
-        return decimal_str(beta, digits)
-    if beta == int(beta):
-        return str(int(beta))
-    return f"%.{digits}f" % beta
+def _curvature_label(beta, approx: float, digits: int) -> str:
+    """An integer curvature in full, any other rounded to `digits` places.
+
+    `approx` is beta's correctly rounded float, which is exact for an
+    integer below 2^53; beyond that, floats are integers themselves.
+    """
+    nearest = round(approx) if abs(approx) < 2**53 else int(format(beta, ".0f"))
+    return str(nearest) if beta == nearest else format(beta, f".{digits}f")
 
 
 def _symbol_label(d: DiskSymbol, digits: int) -> str:
-    parts = []
-    for v in d.components():
-        if isinstance(v, FieldElement):
-            parts.append(decimal_str(v, digits))
-        else:
-            parts.append(f"%.{digits}f" % v)
-    return "(" + ", ".join(parts) + ")"
+    return "(" + ", ".join(format(v, f".{digits}f") for v in d.components()) + ")"
 
 
 def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> bytes:
@@ -140,7 +131,6 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
     # inputs are always emitted in the same order.
     for i in sorted(range(len(views)), key=lambda i: (views[i].beta, i)):
         kind = geoms[i][0]
-        beta = packing.disks[i].beta
         if kind == "line":
             _, nx, ny, s = geoms[i]
             seg = _clip_line(nx, ny, s, box)
@@ -161,7 +151,8 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         if cx + abs(r) < x0 or cx - abs(r) > x1 or cy + abs(r) < y0 or cy - abs(r) > y1:
             continue
         px, py = to_px(cx, cy)
-        negative = (beta.sign() < 0) if isinstance(beta, FieldElement) else beta < 0
+        # A disk's float curvature is nonzero and has the exact one's sign.
+        negative = views[i].beta < 0
         fill = "none" if negative else options.fill
         body.append(
             '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s" stroke="%s" '
@@ -170,7 +161,9 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         drawn += 1
         if options.label_mode != "none" and r_px >= 8.0 and not negative:
             if options.label_mode == "curvature":
-                text = _curvature_label(beta, options.decimal_digits)
+                text = _curvature_label(
+                    packing.disks[i].beta, views[i].beta, options.decimal_digits
+                )
             else:
                 text = _symbol_label(packing.disks[i], options.decimal_digits)
             font = max(r_px * 1.2 / max(len(text), 1), 4.0)

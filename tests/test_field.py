@@ -204,6 +204,22 @@ class TestOrdering:
     def test_comparisons(self):
         assert TAU < ONE < PHI < RHO
         assert RHO_BAR > ZERO
+        for compare in (
+            lambda: PHI < 1.5,
+            lambda: PHI <= 1.5,
+            lambda: PHI > 1.5,
+            lambda: 1.5 >= PHI,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+    @given(hard_elements, hard_elements)
+    @settings(max_examples=100, deadline=None)
+    def test_comparisons_are_signs_of_differences(self, x, y):
+        assert (x < 0) == (x.sign() < 0)
+        assert (x > 0) == (x.sign() > 0)
+        s = (x - y).sign()
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
 
     @given(hard_elements)
     @settings(max_examples=150, deadline=None)
@@ -259,6 +275,13 @@ class TestCertifiedNumerics:
         assert decimal_str(FieldElement(Fraction(1, 8)), 3) == "0.125"
         assert decimal_str(FieldElement(-3), 2) == "-3.00"
 
+    def test_format_spec(self):
+        assert format(PHI, ".3f") == f"{PHI:.3f}" == "1.618"
+        assert format(PHI, "") == str(PHI)
+        for spec in (".f", "10", ".3e"):
+            with pytest.raises(TypeError):
+                format(PHI, spec)
+
     def test_float_conversion(self):
         assert abs(float(PHI) - 1.618033988749895) < 1e-15
 
@@ -296,6 +319,7 @@ class TestCertifiedNumerics:
                 break
             eps /= 10**8
         text = decimal_str(x, digits)
+        assert format(x, f".{digits}f") == text
         assert Fraction(text) * 10**digits == scaled
         assert text.startswith("-") == (scaled < 0)
         assert len(text.partition(".")[2]) == digits

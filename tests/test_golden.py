@@ -23,6 +23,9 @@ BELT_D3_FLOAT_JSON = "46328258140fe5c85de4f78725c5bb9fb7ea1d4fa27a46ac29257e7d51
 HALFPLANE_D3_JSON = "1f881616966ff3c14df7eac76632e7781cba69be0a469d9a59f8cfadbddbf31b"
 HALFPLANE_D3_SVG_SYMBOL = "6e461ef780864e78fc5cf5752fb7df79fa6ba681e03054055a2ae969ac6be227"
 SPIRAL_D3_FLOAT_JSON = "8611ceb9ced558effb2f80e1ca219f4bd6f9bf0aca4b0faeb3f995a1c6fcab56"
+# Float labels: the float formatting path of both label modes.
+HALFPLANE_D3_FLOAT_SVG_SYMBOL = "bd119d65f5f609706d1ba65c6ca703ddc9224714292b0e6099b030c4b7ee62fe"
+WINDOW_D4_FLOAT_SVG_CURVATURE = "e2c3ebeb8cc55861fb578263c8eabc9f09723d6cb6de19ce384db637f5ad010f"
 
 
 def sha256(data):
@@ -68,6 +71,18 @@ def test_spiral_d3_float_json():
     # The float seed is the approx of the exact, irrational seed symbols.
     doc = export_json(generate(PackingConfig(seed="plane_spiral", max_depth=3, mode="float")))
     assert sha256(doc) == SPIRAL_D3_FLOAT_JSON
+
+
+def test_halfplane_d3_float_svg_symbol_labels():
+    p = generate(PackingConfig(seed="halfplane_golden", max_depth=3, mode="float"))
+    svg = render_svg(p, RenderOptions(label_mode="symbol"))
+    assert sha256(svg) == HALFPLANE_D3_FLOAT_SVG_SYMBOL
+
+
+def test_window_d4_float_svg_curvature_labels():
+    p = generate(PackingConfig(seed="window", max_depth=4, mode="float"))
+    svg = render_svg(p, RenderOptions(label_mode="curvature"))
+    assert sha256(svg) == WINDOW_D4_FLOAT_SVG_CURVATURE
 
 
 def test_cli_writes_the_pinned_bytes(tmp_path):

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apollonian.descartes import Quadruple, extended_ok, reflect_fourth
-from apollonian.disks import invert_unit_circle, norm_ok, tangent
+from apollonian.disks import (
+    EuclideanDisk,
+    from_center_radius,
+    invert_unit_circle,
+    norm_ok,
+    reflect_in_disk,
+    tangent,
+)
 from apollonian.field import PHI, TAU, FieldElement
 from apollonian.packing import (
     BUILTIN_SEEDS,
@@ -82,6 +89,25 @@ class TestGenerate:
         )
         with pytest.raises(InvalidSeed):
             generate(PackingConfig(seed=broken, max_depth=1))
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 10), Fraction(1, 1000)])
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_float_seed_check_is_scale_relative(self, name, radius):
+        # Inverting in a small circle makes components near 1/radius^2;
+        # the seed is judged by verify's relative test, not an absolute one.
+        circle = from_center_radius(
+            EuclideanDisk(
+                FieldElement(Fraction(3, 7)), FieldElement(Fraction(2, 7)), FieldElement(radius)
+            )
+        )
+        seed = Quadruple(tuple(reflect_in_disk(d, circle) for d in builtin_seed(name)))
+        p = generate(PackingConfig(seed=seed, max_depth=5, mode="float"))
+        assert verify_packing(p)["ok"]
+
+    def test_exact_mode_rejects_a_float_seed(self):
+        seed = Quadruple(tuple(d.approx() for d in builtin_seed("window")))
+        with pytest.raises(InvalidSeed, match="FieldElement"):
+            generate(PackingConfig(seed=seed, max_depth=1))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("name", ["belt", "halfplane_golden", "plane_spiral"])
