@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: list seeds, generate a packing,
 render it to SVG, verify the stored invariants, classify it, print
 tangent-chain tables, and dump the named constants.  Exit codes: 0 on
-success, 1 when `verify` finds violations, 2 on usage or input errors.
+success, 1 when `verify` finds violations, 2 on usage or input errors,
+3 on an internal error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # ParseError, UnknownSeed, InvalidSeed and EmptyPacking are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "verify found violations"; a bug is neither that nor bad input.
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     return 0
 
 

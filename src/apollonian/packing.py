@@ -163,14 +163,26 @@ def _float_key(d: DiskSymbol) -> Tuple:
     return tuple(round(v * 1e8) for v in d.components())
 
 
-def _is_zero_curvature(beta: Scalar) -> bool:
-    if isinstance(beta, FieldElement):
-        return not beta
-    return abs(beta) < 1e-12
+def _zero_tolerance(mode: str, seed: Quadruple) -> float:
+    """Largest |beta| that counts as a zero curvature.
+
+    Exact mode decides zero exactly: 0.  In float mode a reflected
+    curvature 2(a + b + c) - d carries absolute error of order 2^-53
+    times its largest parent, so the tolerance is FLOAT_TOL times the
+    largest |beta| of the seed disks, the packing's own scale; an
+    absolute bound counts every disk of a large packing as a line.
+    """
+    if mode == "exact":
+        return 0
+    return FLOAT_TOL * max(abs(b) for b in seed.curvatures())
 
 
-def _curvature_sign(beta: Scalar) -> int:
-    return 0 if _is_zero_curvature(beta) else (1 if beta > 0 else -1)
+def _is_zero_curvature(beta: Scalar, tol: float) -> bool:
+    return abs(beta) <= tol if tol else not beta
+
+
+def _curvature_sign(beta: Scalar, tol: float) -> int:
+    return 0 if _is_zero_curvature(beta, tol) else (1 if beta > 0 else -1)
 
 
 def generate(config: PackingConfig) -> Packing:
@@ -194,7 +206,8 @@ def generate(config: PackingConfig) -> Packing:
     # The seed is the depth-0 row, checked by verify's test and tolerance.
     if not verify_packing(Packing(config.mode, seed, seed_name, disks, depths, rows))["ok"]:
         raise InvalidSeed(f"seed quadruple fails the configuration identity ({config.mode} mode)")
-    if config.max_depth is None and not any(_curvature_sign(b) < 0 for b in seed.curvatures()):
+    zero_tol = _zero_tolerance(config.mode, seed)
+    if config.max_depth is None and not any(_curvature_sign(b, zero_tol) < 0 for b in seed.curvatures()):
         raise ValueError(
             "a curvature cap alone bounds only a packing with an enclosing "
             "negative-curvature disk; set max_depth"
@@ -244,9 +257,10 @@ def generate(config: PackingConfig) -> Packing:
 def classify(p: Packing) -> PackingType:
     """Curvature taxonomy verdict with the evidence that backs it."""
     betas = p.curvatures()
-    zero_count = sum(1 for b in betas if _is_zero_curvature(b))
+    zero_tol = _zero_tolerance(p.mode, p.seed)
+    zero_count = sum(1 for b in betas if _is_zero_curvature(b, zero_tol))
     smallest = min(betas)
-    min_sign = _curvature_sign(smallest)
+    min_sign = _curvature_sign(smallest, zero_tol)
     if min_sign < 0:
         return PackingType("A", smallest, zero_count, True, "negative-curvature disk present")
     if min_sign == 0 and zero_count == 2:
@@ -299,6 +313,24 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     per call; a child quadruple shares 3 disks with its parent, so it
     costs about 3 new pairs.
 
+    Exact mode first tries an orbit certificate, which needs no inner
+    product.  Rows are walked in list order, and a row is accepted when
+    its Gram matrix M^T Q M is known to be F.  A row r is accepted with
+    no check when an accepted row P agrees with it at the three
+    positions other than some k and disks[r[k]] == reflect_fourth(P, k).
+    Then the columns of r are those of P times the generator S_k (the
+    identity except column k, which is (2, 2, 2, -1) with the -1 at k),
+    so Gram(r) = S_k^T Gram(P) S_k = S_k^T F S_k = F: its 4 norms and 6
+    pairs hold.  (P = r cannot pass: with Gram(P) = F the reflected disk
+    has inner product 7, not -1, with P's own disk k.)  Any other row,
+    such as the depth-0 row or a row of a shuffled or edited document,
+    is checked as above and accepted if it has no violation.  Accepted
+    rows have no violation under either route, so the report is the one
+    the checks alone would give; a disk's norm is computed only when the
+    disk is in no accepted row.  A parent with violations is never
+    accepted, so it certifies nothing.  Float mode skips the
+    certificate: symbol equality is not exact there.
+
     The mode chooses only the scalar test of <x, y> against its target
     t.  Exact mode decides <x, y> == t.  Float mode accepts
     |<x, y> - t| <= FLOAT_TOL |x|_inf |y|_inf and adds to the report the
@@ -317,13 +349,23 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     in depth and over 10^4 times below FLOAT_TOL, while a 1e-6 relative
     change of one component of a deep disk is caught.
     """
-    residual, tol = (_differs, 0) if p.mode == "exact" else (_scaled_residual, FLOAT_TOL)
-    norms = [residual(d, d, -1) for d in p.disks]
+    exact = p.mode == "exact"
+    residual, tol = (_differs, 0) if exact else (_scaled_residual, FLOAT_TOL)
+    disks = p.disks
+    norms: List[Optional[float]] = [None] * len(disks)
     pairs: Dict[Tuple[int, int], float] = {}
+    # (row with -1 at position k) -> an accepted row: the certificate keys.
+    accepted: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     max_extended = 0.0
     extended_violations: List[int] = []
     tangency_violations: List[Tuple[int, int, int]] = []
     for qi, (indices, _) in enumerate(p.quadruples):
+        if exact and _has_parent(disks, indices, accepted):
+            _accept(indices, norms, accepted)
+            continue
+        for i in indices:
+            if norms[i] is None:
+                norms[i] = residual(disks[i], disks[i], -1)
         worst = max(norms[i] for i in indices)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -331,13 +373,16 @@ def verify_packing(p: Packing) -> Dict[str, object]:
                 key = (i, j) if i <= j else (j, i)
                 res = pairs.get(key)
                 if res is None:
-                    res = pairs[key] = residual(p.disks[i], p.disks[j], 1)
+                    res = pairs[key] = residual(disks[i], disks[j], 1)
                 if res > tol:
                     tangency_violations.append((qi, i, j))
                 worst = max(worst, res)
         if worst > tol:
             extended_violations.append(qi)
+        elif exact:
+            _accept(indices, norms, accepted)
         max_extended = max(max_extended, worst)
+    norms = [residual(d, d, -1) if res is None else res for d, res in zip(disks, norms)]
     norm_violations = [i for i, res in enumerate(norms) if res > tol]
     report: Dict[str, object] = {
         "mode": p.mode,
@@ -348,11 +393,37 @@ def verify_packing(p: Packing) -> Dict[str, object]:
         "tangency_violations": tangency_violations,
         "ok": not (norm_violations or extended_violations or tangency_violations),
     }
-    if p.mode != "exact":
+    if not exact:
         report["max_norm_residual"] = max(norms, default=0.0)
         report["max_extended_residual"] = max_extended
         report["max_tangency_residual"] = max(pairs.values(), default=0.0)
     return report
+
+
+def _hole(indices: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+    return indices[:k] + (-1,) + indices[k + 1 :]
+
+
+def _has_parent(
+    disks: List[DiskSymbol], indices: Tuple[int, ...], accepted: Dict[Tuple[int, ...], Tuple[int, ...]]
+) -> bool:
+    """True iff the row is S_k of an accepted row, for some position k."""
+    for k in range(4):
+        parent = accepted.get(_hole(indices, k))
+        if parent is not None and disks[indices[k]] == reflect_fourth(
+            Quadruple(tuple(disks[i] for i in parent)), k
+        ):
+            return True
+    return False
+
+
+def _accept(
+    indices: Tuple[int, ...], norms: List[Optional[float]], accepted: Dict[Tuple[int, ...], Tuple[int, ...]]
+) -> None:
+    """Record a row with Gram matrix F: its norms hold, and it may certify."""
+    for k in range(4):
+        norms[indices[k]] = False
+        accepted.setdefault(_hole(indices, k), indices)
 
 
 def _differs(x: DiskSymbol, y: DiskSymbol, target: int) -> bool:

@@ -5,6 +5,7 @@ quadruple of the orbit once, so the tests pin disks = quadruples + 3,
 one new disk per quadruple row and 4·3^(k-1) disks at depth k.
 """
 
+import bisect
 import dataclasses
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from apollonian.descartes import Quadruple, extended_ok, reflect_fourth
 from apollonian.disks import (
+    DiskSymbol,
     EuclideanDisk,
     from_center_radius,
     invert_unit_circle,
@@ -23,11 +25,12 @@ from apollonian.disks import (
     reflect_in_disk,
     tangent,
 )
-from apollonian.field import PHI, TAU, FieldElement
+from apollonian.field import PHI, TAU, ZERO, FieldElement
 from apollonian.packing import (
     BUILTIN_SEEDS,
     FLOAT_TOL,
     InvalidSeed,
+    Packing,
     PackingConfig,
     UnknownSeed,
     builtin_seed,
@@ -46,6 +49,49 @@ def spectrum_as_ints(packing):
         assert q.denominator == 1
         out[q.numerator] = count
     return out
+
+
+def inverted_seed(name, radius):
+    """A builtin seed inverted in the circle of centre (3/7, 2/7) and the given radius."""
+    circle = from_center_radius(
+        EuclideanDisk(
+            FieldElement(Fraction(3, 7)), FieldElement(Fraction(2, 7)), FieldElement(Fraction(radius))
+        )
+    )
+    return Quadruple(tuple(reflect_in_disk(d, circle) for d in builtin_seed(name)))
+
+
+def up_to_depth(p, depth):
+    """The packing `generate` gives at a smaller depth: disks are sorted by depth."""
+    n = bisect.bisect_right(p.disk_depths, depth)
+    rows = [row for row in p.quadruples if row[1] <= depth]
+    return dataclasses.replace(p, disks=p.disks[:n], disk_depths=p.disk_depths[:n], quadruples=rows)
+
+
+def exact_curvatures(name, depth):
+    """Exact packing of a builtin seed whose disks carry curvatures alone.
+
+    The reflection acts on the curvature coordinate by itself,
+    beta' = 2(b1 + b2 + b3) - beta, and `classify` reads only the
+    curvatures, the mode and the seed; this skips the other coordinates,
+    which cost most of an exact `generate` at depth 8.
+    """
+    seed = builtin_seed(name)
+    betas, depths = list(seed.curvatures()), [0] * 4
+    frontier = [(tuple(betas), -1)]
+    for level in range(1, depth + 1):
+        children = []
+        for quad, skip in frontier:
+            for i in range(4):
+                if i != skip:
+                    kept = sum(quad[:i] + quad[i + 1 :], ZERO)
+                    beta = kept + kept - quad[i]
+                    betas.append(beta)
+                    depths.append(level)
+                    children.append((quad[:i] + (beta,) + quad[i + 1 :], i))
+        frontier = children
+    disks = [DiskSymbol(ZERO, ZERO, beta, ZERO) for beta in betas]
+    return Packing("exact", seed, name, disks, depths, [])
 
 
 class TestSeeds:
@@ -95,12 +141,7 @@ class TestGenerate:
     def test_float_seed_check_is_scale_relative(self, name, radius):
         # Inverting in a small circle makes components near 1/radius^2;
         # the seed is judged by verify's relative test, not an absolute one.
-        circle = from_center_radius(
-            EuclideanDisk(
-                FieldElement(Fraction(3, 7)), FieldElement(Fraction(2, 7)), FieldElement(radius)
-            )
-        )
-        seed = Quadruple(tuple(reflect_in_disk(d, circle) for d in builtin_seed(name)))
+        seed = inverted_seed(name, radius)
         p = generate(PackingConfig(seed=seed, max_depth=5, mode="float"))
         assert verify_packing(p)["ok"]
 
@@ -228,6 +269,31 @@ class TestClassification:
         p = generate(PackingConfig(seed=builtin_seed("plane_spiral"), max_depth=2))
         assert classify(p).tag == "inconclusive"
 
+    def test_float_zero_test_is_scale_relative(self):
+        # Inverting in a huge circle makes every curvature about 1e-14, so
+        # an absolute zero test called 20 disks lines and lost the type A.
+        seed = inverted_seed("window", 10**7)
+        verdicts = [
+            classify(generate(PackingConfig(seed=seed, max_depth=2, mode=mode)))
+            for mode in ("exact", "float")
+        ]
+        assert [(v.tag, v.zero_curvature_disks) for v in verdicts] == [("A", 0)] * 2
+        # The cap-alone check sees the enclosing disk in both modes too.
+        cap = 30 * max(abs(float(b)) for b in seed.curvatures())
+        counts = [
+            len(generate(PackingConfig(seed=seed, max_curvature=Fraction(cap), mode=mode)).disks)
+            for mode in ("exact", "float")
+        ]
+        assert counts[0] == counts[1] > 4
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_float_agrees_with_exact_through_depth_eight(self, name):
+        floats, exact = _float_depth_eight(name), exact_curvatures(name, 8)
+        for depth in range(9):
+            f = classify(up_to_depth(floats, depth))
+            e = classify(up_to_depth(exact, depth))
+            assert (f.tag, f.zero_curvature_disks) == (e.tag, e.zero_curvature_disks), depth
+
     def test_zero_count_stable_after_depth_one(self):
         for name in BUILTIN_SEEDS:
             zeros_by_depth = {}
@@ -334,6 +400,32 @@ class TestVerify:
         assert not report["ok"]
         assert 0 in report["norm_violations"]
 
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS + ("inverted",))
+    def test_deep_disk_change_is_caught(self, name):
+        # The deepest row would be certified by its parent if the new
+        # disk were not compared with the parent's reflection.
+        p = fresh_copy(name, 3)
+        qi = len(p.quadruples) - 1
+        indices, depth = p.quadruples[qi]
+        i = next(i for i in indices if p.disk_depths[i] == depth)
+        p.disks[i] = dataclasses.replace(p.disks[i], xr=p.disks[i].xr + 1)
+        report = verify_packing(p)
+        assert report == oracle_verify(p)
+        assert qi in report["extended_violations"]
+        assert i in report["norm_violations"]
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_rejected_rows_certify_nothing(self, name):
+        # Doubling every symbol keeps each row the reflection of its
+        # parent but makes every norm -4 and every pair +4: a certificate
+        # taken from a rejected row would pass all rows below depth 0.
+        p = fresh_copy(name, 2)
+        p.disks[:] = [d.scaled(FieldElement(2)) for d in p.disks]
+        report = verify_packing(p)
+        assert report == oracle_verify(p)
+        assert report["extended_violations"] == list(range(len(p.quadruples)))
+        assert report["norm_violations"] == list(range(len(p.disks)))
+
     def test_report_key_order(self):
         report = verify_packing(generate(PackingConfig(seed="window", max_depth=1)))
         assert list(report) == [
@@ -378,12 +470,14 @@ def _float_depth_eight(name):
 
 
 @lru_cache(maxsize=None)
-def _builtin_depth_one(name):
-    return generate(PackingConfig(seed=name, max_depth=1))
+def _exact_packing(name, depth):
+    seed = inverted_seed("window", Fraction(18, 7)) if name == "inverted" else name
+    return generate(PackingConfig(seed=seed, max_depth=depth))
 
 
-def fresh_copy(name):
-    p = _builtin_depth_one(name)
+def fresh_copy(name, depth=1):
+    """A mutable copy of an exact packing; name "inverted" is an inverted window."""
+    p = _exact_packing(name, depth)
     return dataclasses.replace(p, disks=list(p.disks), quadruples=list(p.quadruples))
 
 
@@ -439,27 +533,63 @@ def slide_to_mirror(p, data):
     return qi
 
 
+def shuffle_rows(p, data):
+    # Children may come before their parents, so rows lose their
+    # certificate and are checked directly; maybe a disk is also moved.
+    p.quadruples[:] = data.draw(st.permutations(p.quadruples))
+    if data.draw(st.booleans()):
+        perturb_component(p, data)
+
+
+def duplicate_row(p, data):
+    # A repeated row shares all four disks with an accepted row.
+    row = data.draw(st.sampled_from(p.quadruples))
+    p.quadruples.insert(data.draw(st.integers(0, len(p.quadruples))), row)
+    if data.draw(st.booleans()):
+        perturb_component(p, data)
+
+
+CORRUPTIONS = [
+    perturb_component,
+    swap_index,
+    repeat_index,
+    break_identity,
+    slide_to_mirror,
+    shuffle_rows,
+    duplicate_row,
+]
+
+
+def check_against_oracle(p, corrupt, data):
+    qi = corrupt(p, data)
+    report = verify_packing(p)
+    assert report == oracle_verify(p)
+    if corrupt is repeat_index:
+        # (i, i) is judged as a pair, +1, not as a norm.
+        assert report["norm_violations"] == []
+        assert qi in report["extended_violations"]
+        assert any(v[0] == qi and v[1] == v[2] for v in report["tangency_violations"])
+    if corrupt is break_identity:
+        assert report["norm_violations"] == []
+    if corrupt is slide_to_mirror:
+        assert qi in report["extended_violations"]
+        assert not any(v[0] == qi for v in report["tangency_violations"])
+
+
 class TestVerifyOracle:
-    @pytest.mark.parametrize(
-        "corrupt", [perturb_component, swap_index, repeat_index, break_identity, slide_to_mirror]
-    )
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     @given(name=st.sampled_from(BUILTIN_SEEDS), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_matches_three_pass_oracle(self, corrupt, name, data):
-        p = fresh_copy(name)
-        qi = corrupt(p, data)
-        report = verify_packing(p)
-        assert report == oracle_verify(p)
-        if corrupt is repeat_index:
-            # (i, i) is judged as a pair, +1, not as a norm.
-            assert report["norm_violations"] == []
-            assert qi in report["extended_violations"]
-            assert any(v[0] == qi and v[1] == v[2] for v in report["tangency_violations"])
-        if corrupt is break_identity:
-            assert report["norm_violations"] == []
-        if corrupt is slide_to_mirror:
-            assert qi in report["extended_violations"]
-            assert not any(v[0] == qi for v in report["tangency_violations"])
+        check_against_oracle(fresh_copy(name), corrupt, data)
+
+    # Depth 3 has rows certified by parents that were certified in turn;
+    # the oracle costs about 0.3 s there, hence fewer examples.
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    @given(name=st.sampled_from(BUILTIN_SEEDS + ("inverted",)), data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_matches_oracle_at_depth_three(self, corrupt, name, data):
+        check_against_oracle(fresh_copy(name, 3), corrupt, data)
 
 
 def spectrum_by_scan(p):

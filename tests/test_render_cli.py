@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from apollonian import cli
 from apollonian.cli import main
 from apollonian.jsonio import FORMAT_VERSION, ParseError, export_json, import_json
 from apollonian.packing import PackingConfig, generate
@@ -272,6 +273,18 @@ class TestCli:
         code = main(["verify", "--in", str(tmp_path / "nope.json")])
         capsys.readouterr()
         assert code == 2
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Exit 1 is reserved for verify's violations; a bug gets one line.
+        def broken(args):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(cli, "_cmd_verify", broken)
+        assert main(["verify", "--in", str(tmp_path / "p.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom on two lines\n"
+        assert "Traceback" not in captured.err
 
     def test_chain_zigzag(self, capsys):
         assert main(["chain", "--kind", "zigzag", "--from", "-2", "--to", "3", "--digits", "8"]) == 0
