@@ -47,7 +47,7 @@ from .field import (
     fibonacci,
     golden_power,
 )
-from .disks import DiskSymbol, EuclideanDisk, from_center_radius, inner
+from .disks import DiskSymbol, EuclideanDisk, center_radius, from_center_radius, inner
 from .descartes import Quadruple
 
 __all__ = [
@@ -315,22 +315,14 @@ def zigzag_wedge_lines() -> Dict[str, object]:
     }
 
 
-def _line_cross(n: int, ux: FieldElement, uy: FieldElement) -> FieldElement:
-    px, _ = zigzag_limit()
-    disk = zigzag_disk(n)
-    r = ONE / disk.symbol.beta
-    cx = disk.symbol.xr * r
-    cy = disk.symbol.yr * r
-    return ux * cy - uy * (cx - px)
-
-
 def zigzag_wedge_tangency_ok(n: int) -> bool:
     """Exact: dist(center_n, tangent line of n's parity)^2 = r_n^2."""
     lines = zigzag_wedge_lines()
     key = "even_direction" if n % 2 == 0 else "odd_direction"
     ux, uy = lines[key]
-    cross = _line_cross(n, ux, uy)
-    r = ONE / zigzag_disk(n).symbol.beta
+    px, _ = zigzag_limit()
+    cx, cy, r = center_radius(zigzag_disk(n).symbol)
+    cross = ux * cy - uy * (cx - px)
     return cross * cross == r * r
 
 
@@ -343,10 +335,7 @@ def third_cos_line_distance_parts(n: int) -> Tuple[FieldElement, FieldElement]:
     b is nonzero for every n, which rules the single-line reading out.
     """
     px, _ = zigzag_limit()
-    disk = zigzag_disk(n)
-    r = ONE / disk.symbol.beta
-    cx = disk.symbol.xr * r
-    cy = disk.symbol.yr * r
+    cx, cy, _ = center_radius(zigzag_disk(n).symbol)
     # cross = (1/3) cy - (2 sqrt(2)/3)(cx - px) = p + q*sqrt(2)
     p = cy / 3
     q = (px - cx) * Fraction(2, 3)
@@ -360,7 +349,7 @@ def wedge_checks() -> Dict[str, object]:
     for n in range(0, 4):
         a, b = third_cos_line_distance_parts(n)
         dist2 = a.approx() + b.approx() * sqrt2
-        r = (ONE / zigzag_disk(n).symbol.beta).approx()
+        r = center_radius(zigzag_disk(n).symbol)[2].approx()
         defects[n] = abs(math.sqrt(abs(dist2)) - r)
     return {
         # 1^2 + (2 sqrt(2))^2 = 3^2 and 1^2 + (2 phi sqrt(phi))^2 = (phi^3)^2

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import chains
 from .field import FieldElement, decimal_str, PHI, TAU, SQRT5, SQRT_PHI, SQRT_TAU, RHO, RHO_BAR, OMEGA
-from .disks import DiskSymbol
+from .disks import DiskSymbol, center_radius
 from .jsonio import export_json, import_json
 from .packing import BUILTIN_SEEDS, PackingConfig, classify, generate, verify_packing
 from .render import RenderOptions, render_svg
@@ -162,8 +162,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _symbol_row(d: DiskSymbol, digits: int) -> List[str]:
     row = [v.to_string() for v in d.components()]
     if d.beta:
-        r = d.beta.inverse()
-        row.extend((decimal_str(d.xr * r, digits), decimal_str(d.yr * r, digits), decimal_str(r, digits)))
+        row.extend(decimal_str(v, digits) for v in center_radius(d))
     else:
         row.extend(("-", "-", "-"))
     return row

@@ -4,25 +4,34 @@ A Descartes configuration is four pairwise tangent disks.  Its symbols
 satisfy two identities used throughout:
 
 * scalar: 2(a^2 + b^2 + c^2 + d^2) = (a + b + c + d)^2 on curvatures;
-* matrix: M F M^T = G, where the columns of M are the four symbols,
-  F is the Gram-pattern matrix (diagonal -1, off-diagonal +1), and
-  G = diag(-4, -4) on the center block with an anti-diagonal 8-block
-  on the curvature/co-curvature pair.  G is the inverse of Q/4, Q the
-  matrix of the inner product of `disks`, and F^2 = 4I, so
-  M F M^T = G <=> M^T Q M = F (Lagarias-Mallows-Wilks, augmented
-  Euclidean Descartes theorem): the matrix identity says exactly that
-  every symbol has norm -1 and every pair has inner product +1.
+* Gram: M^T Q M = F, where the columns of M are the four symbols, Q is
+  the matrix of the inner product of `disks` (so <a, b> = a^T Q b) and
+  F is the Gram pattern F_GRAM (diagonal -1, off-diagonal +1): every
+  symbol has norm -1 and every pair has inner product +1.
+
+The Gram form is equivalent to the augmented Euclidean Descartes
+theorem M F M^T = G (Lagarias-Mallows-Wilks, arXiv:math/0101066), with
+G = diag(-4, -4) on the center block and an anti-diagonal 8-block on
+the curvature/co-curvature pair.  Proof: G^-1 = Q/4 and F^2 = 4I, and
+either side makes M invertible.  If M F M^T = G then
+F^-1 = M^T G^-1 M, i.e. F/4 = M^T Q M / 4; if M^T Q M = F then
+Q^-1 = M F^-1 M^T, i.e. G/4 = M F M^T / 4.  So `extended_ok` and
+`verify_packing` decide the theorem from the 10 entries of M^T Q M - F,
+with one scalar test per mode: exact mode asks <x, y> != t, float mode
+measures |<x, y> - t| / (|x|_inf |y|_inf).
 
 Given three of the four disks, the two completions D and D' satisfy
 D + D' = 2(D1 + D2 + D3) componentwise, which makes the exact
 generation step (swap one completion for the other) a plain linear
-reflection with no square roots.
+reflection with no square roots.  The float solver finds both from
+cofactors, also with no square root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 from .field import FieldElement, sqrt_in_field
 from .disks import DiskSymbol, inner, tangency_residual
@@ -35,7 +44,6 @@ __all__ = [
     "NotTangentEnough",
     "InvalidQuadruple",
     "F_GRAM",
-    "G_TARGET",
     "descartes_scalar_ok",
     "extended_ok",
     "extended_residual",
@@ -64,12 +72,8 @@ F_GRAM: Tuple[Tuple[int, ...], ...] = (
     (1, 1, 1, -1),
 )
 
-G_TARGET: Tuple[Tuple[int, ...], ...] = (
-    (-4, 0, 0, 0),
-    (0, -4, 0, 0),
-    (0, 0, 0, 8),
-    (0, 0, 8, 0),
-)
+# The upper triangle of M^T Q M, norms included: its 10 distinct entries.
+_ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,32 @@ def descartes_scalar_ok(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> bool:
     return 2 * (a * a + b * b + c * c + d * d) == total * total
 
 
-def _mfmt(q: Quadruple) -> List[List[Scalar]]:
-    cols = [d.components() for d in q.disks]
-    # (M F M^T)_{ij} = sum_{k,l} sym_k[i] * F[k][l] * sym_l[j]
-    fm = [
-        [sum(F_GRAM[k][l] * cols[l][j] for l in range(4)) for j in range(4)]
-        for k in range(4)
-    ]
-    return [
-        [sum(cols[k][i] * fm[k][j] for k in range(4)) for j in range(4)]
-        for i in range(4)
-    ]
+def _differs(x: DiskSymbol, y: DiskSymbol, target: int) -> bool:
+    """Exact test: a violation (True) iff <x, y> != target."""
+    return inner(x, y) != target
+
+
+def _scaled_residual(x: DiskSymbol, y: DiskSymbol, target: int) -> float:
+    """|<x, y> - target| / (|x|_inf |y|_inf); inf when not finite."""
+    scale = max(map(abs, x.components())) * max(map(abs, y.components()))
+    scaled = abs(inner(x, y) - target) / scale if scale else math.inf
+    return scaled if scaled <= math.inf else math.inf
 
 
 def extended_ok(q: Quadruple) -> bool:
-    """Exact matrix identity M F M^T = G."""
-    product = _mfmt(q)
-    return all(
-        product[i][j] == G_TARGET[i][j] for i in range(4) for j in range(4)
-    )
+    """Exact test M^T Q M = F, equivalently M F M^T = G."""
+    d = q.disks
+    return not any(_differs(d[i], d[j], F_GRAM[i][j]) for i, j in _ENTRIES)
 
 
 def extended_residual(q: Quadruple) -> float:
-    """Max componentwise |M F M^T - G| as a float, in either mode."""
-    product = _mfmt(q)
-    return max(abs(float(product[i][j] - G_TARGET[i][j])) for i in range(4) for j in range(4))
+    """Largest scaled residual of the entries of M^T Q M - F.
+
+    This is the float measure verify reports as max_extended_residual
+    for one row; exact symbols are measured through their float view.
+    """
+    d = [x.approx() for x in q.disks]
+    return max(_scaled_residual(d[i], d[j], F_GRAM[i][j]) for i, j in _ENTRIES)
 
 
 def fourth_curvatures(
@@ -147,26 +152,34 @@ def fourth_curvatures(
     return (total + 2 * root, total - 2 * root)
 
 
-def reflect_fourth(q: Quadruple, index: int, check: bool = False) -> DiskSymbol:
+def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
     """The other disk tangent to the three disks of q excluding `index`.
 
     Exact and square-root free: the two completions of a tangent triple
     sum to twice the triple's symbol sum.  Applying twice returns the
     original disk.
     """
-    if check:
-        q.validate()
     others = [d for i, d in enumerate(q.disks) if i != index]
     total = others[0] + others[1] + others[2]
     return total + total - q.disks[index]
 
 
-def _q_functional(d: DiskSymbol) -> Tuple[float, float, float, float]:
-    # Row vector a with a . v = <d, v> for the inner product.
-    return (-d.xr, -d.yr, d.gamma / 2.0, d.beta / 2.0)
-
-
+# The input guard is absolute, so the solver's domain is triples tangent
+# to 1e-9 in absolute terms: large tangent disks are rejected, because the
+# float residual of an exactly tangent pair grows like the square of its
+# size.  Accuracy does not need the guard.  The cofactors are summed
+# exactly, and with no guard every spiral triple for n in -20..20 but one
+# completes to relative error below 1e-8.
 _TANGENCY_TOL = 1e-9
+
+
+def _minor(a, b, e, i: int, j: int, k: int):
+    """det of rows a, b, e restricted to columns i < j < k."""
+    return (
+        e[i] * (a[j] * b[k] - a[k] * b[j])
+        - e[j] * (a[i] * b[k] - a[k] * b[i])
+        + e[k] * (a[i] * b[j] - a[j] * b[i])
+    )
 
 
 def solve_fourth_float(
@@ -174,45 +187,38 @@ def solve_fourth_float(
 ) -> Tuple[DiskSymbol, DiskSymbol]:
     """Both float completions of three pairwise tangent float disks.
 
-    The completions are s +- w with s = d1 + d2 + d3 and w the (unique
-    up to sign) vector orthogonal to all three disks, scaled so the
-    result has norm -1.  Componentwise this reproduces the +- formulas
-    for every coordinate with correlated signs.
+    The completions are s +- w with s = d1 + d2 + d3 and w orthogonal to
+    the triple with <w, w> = -4, so both have norm -1.  Take c_k, the
+    signed 3x3 minors of the triple, with det[d1; d2; d3; v] =
+    sum_k c_k v_k; c annihilates the triple, so w = Q^-1 c / 2 =
+    (-c_x/2, -c_y/2, c_gamma, c_beta) is orthogonal to it.  For u = 2w,
+    det[d1; d2; d3; u] = <u, u>, and the Gram determinant of d1, d2, d3,
+    u gives <u, u>^2 det Q = det G3 <u, u>: <u, u> = det G3 / det Q =
+    4 / (-1/4) = -16 for a tangent triple, whose Gram matrix is G3.
     """
     disks = (d1.approx(), d2.approx(), d3.approx())
     for i in range(3):
         for j in range(i + 1, 3):
-            if tangency_residual(disks[i], disks[j]) > _TANGENCY_TOL:
+            if not tangency_residual(disks[i], disks[j]) <= _TANGENCY_TOL:
                 raise NotTangentEnough(
                     f"disks {i} and {j} have tangency residual "
                     f"{tangency_residual(disks[i], disks[j]):.3e}"
                 )
-    rows = [list(_q_functional(d)) for d in disks]
-    # Gaussian elimination to a row echelon form of the 3x4 system.
-    pivot_cols: List[int] = []
-    for r in range(3):
-        col = max(
-            (c for c in range(4) if c not in pivot_cols),
-            key=lambda c: abs(rows[r][c]),
-        )
-        if abs(rows[r][col]) < 1e-13:
-            raise NotTangentEnough("seed disks are linearly dependent")
-        pivot_cols.append(col)
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for rr in range(3):
-            if rr != r and rows[rr][col]:
-                factor = rows[rr][col]
-                rows[rr] = [v - factor * pv for v, pv in zip(rows[rr], rows[r])]
-    free_col = next(c for c in range(4) if c not in pivot_cols)
-    w = [0.0] * 4
-    w[free_col] = 1.0
-    for r, col in enumerate(pivot_cols):
-        w[col] = -rows[r][free_col]
-    w_disk = DiskSymbol(*w)
-    w_norm = inner(w_disk, w_disk)
-    if w_norm >= 0:
+    # The cofactors are cubic in the inputs and cancel down to their
+    # size, so they are summed exactly: each component is an integer
+    # over the common power of two `den`.
+    ratios = [x.as_integer_ratio() for d in disks for x in d.components()]
+    den = max(m for _, m in ratios)
+    ints = [n * (den // m) for n, m in ratios]
+    a, b, e, cube = ints[0:4], ints[4:8], ints[8:12], den**3
+    w_disk = DiskSymbol(
+        _minor(a, b, e, 1, 2, 3) / (2 * cube),
+        -_minor(a, b, e, 0, 2, 3) / (2 * cube),
+        _minor(a, b, e, 0, 1, 2) / cube,
+        -_minor(a, b, e, 0, 1, 3) / cube,
+    )
+    if inner(w_disk, w_disk) >= 0:
         raise NotTangentEnough("no real completion: orthogonal direction not timelike")
-    w_disk = w_disk.scaled(2.0 / (-w_norm) ** 0.5)
     s = disks[0] + disks[1] + disks[2]
     first = s + w_disk
     second = s - w_disk

@@ -39,6 +39,7 @@ __all__ = [
     "tangency_residual",
     "from_center_radius",
     "from_line",
+    "center_radius",
     "to_euclidean",
     "invert_unit_circle",
     "reflect_in_disk",
@@ -171,14 +172,19 @@ def from_line(h: HalfPlane) -> DiskSymbol:
     return DiskSymbol(h.nx, h.ny, ZERO, 2 * h.s)
 
 
+def center_radius(d: DiskSymbol) -> Tuple[FieldElement, FieldElement, FieldElement]:
+    """Exact (cx, cy, r) of a symbol with nonzero curvature."""
+    r = d.beta.inverse()
+    return (d.xr * r, d.yr * r, r)
+
+
 def to_euclidean(d: DiskSymbol) -> Union[EuclideanDisk, HalfPlane]:
     """Inverse of from_center_radius / from_line; requires a valid symbol."""
     if not norm_ok(d):
         raise InvalidSymbol(f"symbol norm is not -1: {d}")
     if not d.beta:
         return HalfPlane(d.xr, d.yr, d.gamma / 2)
-    r = ONE / d.beta
-    return EuclideanDisk(d.xr * r, d.yr * r, r)
+    return EuclideanDisk(*center_radius(d))
 
 
 def invert_unit_circle(d: DiskSymbol) -> DiskSymbol:

@@ -17,7 +17,7 @@ import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement, decimal_str
-from .disks import DiskSymbol
+from .disks import DiskSymbol, center_radius
 from .descartes import Quadruple
 from .packing import Packing, classify
 
@@ -49,10 +49,10 @@ def _symbol_to_json(d: DiskSymbol) -> Dict[str, object]:
     }
     if d.is_exact:
         if d.beta:
-            r = d.beta.inverse()
+            cx, cy, r = center_radius(d)
             entry["approx"] = {
-                "cx": decimal_str(d.xr * r, APPROX_DIGITS),
-                "cy": decimal_str(d.yr * r, APPROX_DIGITS),
+                "cx": decimal_str(cx, APPROX_DIGITS),
+                "cy": decimal_str(cy, APPROX_DIGITS),
                 "r": decimal_str(r, APPROX_DIGITS),
             }
         else:

@@ -24,15 +24,14 @@ instead of a guess.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
-from .disks import DiskSymbol, inner
-from .descartes import Quadruple, reflect_fourth
+from .disks import DiskSymbol
+from .descartes import Quadruple, _differs, _scaled_residual, reflect_fourth
 from . import chains
 
 Scalar = Union["FieldElement", float]
@@ -295,38 +294,31 @@ def curvature_spectrum(p: Packing) -> List[Tuple[Scalar, int]]:
 def verify_packing(p: Packing) -> Dict[str, object]:
     """Re-check every stored invariant; lists violations instead of raising.
 
-    One Gram pass in both modes.  Let M have the four symbols of a
-    quadruple as columns, Q the matrix of the inner product (so
-    <a, b> = a^T Q b) and F, G the matrices of `descartes`.  Then
-
-        M F M^T = G  <=>  M^T Q M = F.
-
-    Proof: G^-1 = Q/4 and F^2 = 4I, and either side makes M invertible.
-    If M F M^T = G then F^-1 = M^T G^-1 M, i.e. F/4 = M^T Q M / 4; if
-    M^T Q M = F then Q^-1 = M F^-1 M^T, i.e. G/4 = M F M^T / 4.
-
-    The entries of M^T Q M are the inner products of the quadruple's
-    disks, so a quadruple violates the extended identity iff one of its
-    4 disks has <d, d> != -1 or one of its 6 position pairs has
-    <d_i, d_j> != +1 (a repeated index i = j is judged as a pair, +1,
-    not as a norm).  Each disk norm and each index pair is computed once
-    per call; a child quadruple shares 3 disks with its parent, so it
-    costs about 3 new pairs.
+    One Gram pass in both modes, on the form M^T Q M = F of the
+    extended identity (see `descartes`).  The entries of M^T Q M are the
+    inner products of the quadruple's disks, so a quadruple violates the
+    extended identity iff one of its 4 disks has <d, d> != -1 or one of
+    its 6 position pairs has <d_i, d_j> != +1 (a repeated index i = j is
+    judged as a pair, +1, not as a norm).  Each disk norm and each index
+    pair is computed once per call; a child quadruple shares 3 disks
+    with its parent, so it costs about 3 new pairs.
 
     Exact mode first tries an orbit certificate, which needs no inner
-    product.  Rows are walked in list order, and a row is accepted when
-    its Gram matrix M^T Q M is known to be F.  A row r is accepted with
-    no check when an accepted row P agrees with it at the three
-    positions other than some k and disks[r[k]] == reflect_fourth(P, k).
-    Then the columns of r are those of P times the generator S_k (the
-    identity except column k, which is (2, 2, 2, -1) with the -1 at k),
-    so Gram(r) = S_k^T Gram(P) S_k = S_k^T F S_k = F: its 4 norms and 6
+    product.  Rows are walked by stored depth, parents first (list order
+    within a depth), and a row is accepted when its Gram matrix M^T Q M
+    is known to be F.  A row r is accepted with no check when an
+    accepted row P agrees with it at the three positions other than
+    some k and disks[r[k]] == reflect_fourth(P, k).  Then the columns of
+    r are those of P times the generator S_k (the identity except
+    column k, which is (2, 2, 2, -1) with the -1 at k), so
+    Gram(r) = S_k^T Gram(P) S_k = S_k^T F S_k = F: its 4 norms and 6
     pairs hold.  (P = r cannot pass: with Gram(P) = F the reflected disk
     has inner product 7, not -1, with P's own disk k.)  Any other row,
-    such as the depth-0 row or a row of a shuffled or edited document,
-    is checked as above and accepted if it has no violation.  Accepted
-    rows have no violation under either route, so the report is the one
-    the checks alone would give; a disk's norm is computed only when the
+    such as the depth-0 row or a row of an edited document, is checked
+    as above and accepted if it has no violation.  Accepted rows have no
+    violation under either route, so the report is the one the checks
+    alone would give, whatever the walk order; the violation lists are
+    sorted back to list order.  A disk's norm is computed only when the
     disk is in no accepted row.  A parent with violations is never
     accepted, so it certifies nothing.  Float mode skips the
     certificate: symbol equality is not exact there.
@@ -359,7 +351,9 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     max_extended = 0.0
     extended_violations: List[int] = []
     tangency_violations: List[Tuple[int, int, int]] = []
-    for qi, (indices, _) in enumerate(p.quadruples):
+    rows = p.quadruples
+    for qi in sorted(range(len(rows)), key=lambda r: rows[r][1]):
+        indices = rows[qi][0]
         if exact and _has_parent(disks, indices, accepted):
             _accept(indices, norms, accepted)
             continue
@@ -382,6 +376,8 @@ def verify_packing(p: Packing) -> Dict[str, object]:
         elif exact:
             _accept(indices, norms, accepted)
         max_extended = max(max_extended, worst)
+    extended_violations.sort()
+    tangency_violations.sort(key=lambda v: v[0])
     norms = [residual(d, d, -1) if res is None else res for d, res in zip(disks, norms)]
     norm_violations = [i for i, res in enumerate(norms) if res > tol]
     report: Dict[str, object] = {
@@ -425,14 +421,3 @@ def _accept(
         norms[indices[k]] = False
         accepted.setdefault(_hole(indices, k), indices)
 
-
-def _differs(x: DiskSymbol, y: DiskSymbol, target: int) -> bool:
-    """Exact test: a violation (True) iff <x, y> != target."""
-    return inner(x, y) != target
-
-
-def _scaled_residual(x: DiskSymbol, y: DiskSymbol, target: int) -> float:
-    """|<x, y> - target| / (|x|_inf |y|_inf); inf when not finite."""
-    scale = max(map(abs, x.components())) * max(map(abs, y.components()))
-    scaled = abs(inner(x, y) - target) / scale if scale else math.inf
-    return scaled if scaled <= math.inf else math.inf

@@ -23,6 +23,12 @@ from .packing import Packing
 __all__ = ["EmptyPacking", "RenderOptions", "render_svg"]
 
 
+STROKE = "#1a1a2e"
+FILL = "#9ecbff"
+BACKGROUND = "#ffffff"
+STROKE_WIDTH = 1.0
+
+
 class EmptyPacking(ValueError):
     """Nothing to draw: no disk meets the viewport and size thresholds."""
 
@@ -35,10 +41,6 @@ class RenderOptions:
     label_mode: str = "none"  # none | curvature | symbol
     decimal_digits: int = 4
     min_px: float = 0.25
-    stroke: str = "#1a1a2e"
-    fill: str = "#9ecbff"
-    background: str = "#ffffff"
-    stroke_width: float = 1.0
 
 
 def _auto_viewport(geoms: List[Tuple]) -> Tuple[float, float, float, float]:
@@ -126,7 +128,6 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
 
     body: List[str] = []
     drawn = 0
-    sw = options.stroke_width
     # Most negative curvature first, ties broken by disk index, so equal
     # inputs are always emitted in the same order.
     for i in sorted(range(len(views)), key=lambda i: (views[i].beta, i)):
@@ -140,7 +141,7 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
             bx, by = to_px(seg[2], seg[3])
             body.append(
                 '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
-                'stroke="%s" stroke-width="%.3f"/>' % (ax, ay, bx, by, options.stroke, sw)
+                'stroke="%s" stroke-width="%.3f"/>' % (ax, ay, bx, by, STROKE, STROKE_WIDTH)
             )
             drawn += 1
             continue
@@ -153,10 +154,10 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         px, py = to_px(cx, cy)
         # A disk's float curvature is nonzero and has the exact one's sign.
         negative = views[i].beta < 0
-        fill = "none" if negative else options.fill
+        fill = "none" if negative else FILL
         body.append(
             '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s" stroke="%s" '
-            'stroke-width="%.3f"/>' % (px, py, r_px, fill, options.stroke, sw)
+            'stroke-width="%.3f"/>' % (px, py, r_px, fill, STROKE, STROKE_WIDTH)
         )
         drawn += 1
         if options.label_mode != "none" and r_px >= 8.0 and not negative:
@@ -170,7 +171,7 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
             body.append(
                 '<text x="%.3f" y="%.3f" font-size="%.3f" font-family="monospace" '
                 'text-anchor="middle" dominant-baseline="central" fill="%s">%s</text>'
-                % (px, py, font, options.stroke, _escape(text))
+                % (px, py, font, STROKE, _escape(text))
             )
     if drawn == 0:
         raise EmptyPacking("no disk intersects the viewport at a drawable size")
@@ -179,7 +180,7 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height),
         '<rect x="0" y="0" width="%d" height="%d" fill="%s"/>'
-        % (width, height, options.background),
+        % (width, height, BACKGROUND),
     ]
     return ("\n".join(head + body + ["</svg>"]) + "\n").encode("utf-8")
 

@@ -1,13 +1,18 @@
 """Descartes quadruples: the validated matrix identity, fourth-disk
 solutions, and reflection."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apollonian import chains
 from apollonian.descartes import (
+    F_GRAM,
     InvalidQuadruple,
     NotRepresentable,
     NotTangentEnough,
@@ -19,8 +24,9 @@ from apollonian.descartes import (
     reflect_fourth,
     solve_fourth_float,
 )
-from apollonian.disks import DiskSymbol, norm_ok
+from apollonian.disks import DiskSymbol, invert_unit_circle, norm_ok
 from apollonian.field import FieldElement, ONE, PHI, TAU, ZERO
+from apollonian.packing import BUILTIN_SEEDS, Packing, builtin_seed, verify_packing
 
 TWO = FieldElement(2)
 HALF = FieldElement(Fraction(1, 2))
@@ -37,6 +43,65 @@ WINDOW = Quadruple(
 
 def float_quadruple(q: Quadruple) -> Quadruple:
     return Quadruple(tuple(d.approx() for d in q.disks))
+
+
+def walk(q: Quadruple, word) -> Quadruple:
+    """The quadruple reached from q by reflecting the positions in `word`."""
+    for i in word:
+        child = list(q.disks)
+        child[i] = reflect_fourth(q, i)
+        q = Quadruple(tuple(child))
+    return q
+
+
+G = ((-4, 0, 0, 0), (0, -4, 0, 0), (0, 0, 0, 8), (0, 0, 8, 0))
+
+
+def mfmt_is_g(q: Quadruple) -> bool:
+    """Reference: the augmented Euclidean Descartes theorem M F M^T = G,
+    as a literal matrix product over the columns of M."""
+    cols = [d.components() for d in q.disks]
+    return all(
+        sum(cols[k][i] * F_GRAM[k][l] * cols[l][j] for k in range(4) for l in range(4)) == G[i][j]
+        for i in range(4)
+        for j in range(4)
+    )
+
+
+small_deltas = st.builds(
+    FieldElement, *[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))] * 4
+).filter(bool)
+
+
+def perturb(q, data):
+    i = data.draw(st.integers(0, 3))
+    name = data.draw(st.sampled_from(("xr", "yr", "beta", "gamma")))
+    child = list(q.disks)
+    child[i] = dataclasses.replace(child[i], **{name: getattr(child[i], name) + data.draw(small_deltas)})
+    return Quadruple(tuple(child))
+
+
+def invert_one(q, data):
+    # keeps the norm; only pair products can break
+    i = data.draw(st.integers(0, 3))
+    child = list(q.disks)
+    child[i] = invert_unit_circle(child[i])
+    return Quadruple(tuple(child))
+
+
+def double_one(q, data):
+    # keeps every pair a multiple of its target: norm -4, pairs +2
+    i = data.draw(st.integers(0, 3))
+    child = list(q.disks)
+    child[i] = child[i].scaled(TWO)
+    return Quadruple(tuple(child))
+
+
+def repeat_one(q, data):
+    a, b = data.draw(st.permutations(range(4)))[:2]
+    child = list(q.disks)
+    child[b] = child[a]
+    return Quadruple(tuple(child))
 
 
 class TestScalarRelation:
@@ -72,6 +137,35 @@ class TestExtendedIdentity:
 
     def test_float_residual(self):
         assert extended_residual(float_quadruple(WINDOW)) < 1e-12
+
+    @given(
+        name=st.sampled_from(BUILTIN_SEEDS),
+        word=st.lists(st.integers(0, 3), max_size=5),
+        corrupt=st.sampled_from([None, perturb, invert_one, double_one, repeat_one]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gram_test_matches_matrix_identity(self, name, word, corrupt, data):
+        q = walk(builtin_seed(name), word)
+        if corrupt is None:
+            assert extended_ok(q)
+        else:
+            q = corrupt(q, data)
+        assert extended_ok(q) is mfmt_is_g(q)
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    @pytest.mark.parametrize("word", [(), (0, 1, 2, 3, 0, 1, 2, 3)])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_residual_is_verify_measure(self, name, word, moved):
+        q = float_quadruple(walk(builtin_seed(name), word))
+        if moved:
+            child = list(q.disks)
+            size = max(map(abs, child[2].components()))
+            child[2] = dataclasses.replace(child[2], xr=child[2].xr + 1e-3 * size)
+            q = Quadruple(tuple(child))
+        p = Packing("float", q, None, list(q.disks), [0] * 4, [((0, 1, 2, 3), 0)])
+        assert extended_residual(q) == verify_packing(p)["max_extended_residual"]
+        assert (extended_residual(q) > 1e-9) is moved
 
     def test_validate_raises_with_context(self):
         moved = list(WINDOW.disks)
@@ -195,3 +289,53 @@ class TestSolveFourthFloat:
                 solutions[0].components(), solutions[1].components(), total.components()
             ):
                 assert abs(a + b - 2 * c) < 1e-8
+
+    def test_non_finite_input_is_rejected(self):
+        a = DiskSymbol(math.nan, 0.0, 1.0, -1.0)
+        b = DiskSymbol(2.0, 0.0, 1.0, 3.0)
+        c = DiskSymbol(1.0, math.sqrt(3.0), 1.0, 3.0)
+        with pytest.raises(NotTangentEnough):
+            solve_fourth_float(a, b, c)
+
+
+def solver_cases(source):
+    """Exact quadruples whose triples the accuracy test completes."""
+    if source in ("window", "belt"):
+        rng = random.Random(2024)
+        return [
+            walk(builtin_seed(source), [rng.randrange(4) for _ in range(rng.randrange(1, 12))])
+            for _ in range(60)
+        ]
+    if source == "zigzag":
+        axis = chains.zigzag_axis()
+        disks = [chains.zigzag_disk(n).symbol for n in range(-20, 22)]
+        return [Quadruple((axis,) + tuple(disks[n : n + 3])) for n in range(40)]
+    return [chains.spiral_quadruple(n) for n in range(-20, 21)]
+
+
+@pytest.mark.parametrize("source", ["window", "belt", "zigzag", "spiral"])
+def test_solver_matches_exact_completions(source):
+    # Both completions of each triple are known exactly: the dropped disk
+    # and its reflection.  The error is relative to max(1, |exact|_inf).
+    solved = 0
+    for q in solver_cases(source):
+        for k in range(4):
+            triple = [d.approx() for j, d in enumerate(q.disks) if j != k]
+            exact = sorted(
+                (d.approx() for d in (q.disks[k], reflect_fourth(q, k))),
+                key=lambda d: (d.beta, d.gamma, d.xr, d.yr),
+                reverse=True,
+            )
+            try:
+                got = solve_fourth_float(*triple)
+            except NotTangentEnough:
+                continue
+            solved += 1
+            scale = max(1.0, *(abs(v) for d in exact for v in d.components()))
+            error = max(
+                abs(a - b)
+                for g, e in zip(got, exact)
+                for a, b in zip(g.components(), e.components())
+            )
+            assert error <= 1e-6 * scale, (source, k, error / scale)
+    assert solved >= 100

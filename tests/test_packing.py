@@ -8,6 +8,7 @@ one new disk per quadruple row and 4·3^(k-1) disks at depth k.
 import bisect
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apollonian import descartes
 from apollonian.descartes import Quadruple, extended_ok, reflect_fourth
 from apollonian.disks import (
     DiskSymbol,
     EuclideanDisk,
     from_center_radius,
+    inner,
     invert_unit_circle,
     norm_ok,
     reflect_in_disk,
@@ -425,6 +428,31 @@ class TestVerify:
         assert report == oracle_verify(p)
         assert report["extended_violations"] == list(range(len(p.quadruples)))
         assert report["norm_violations"] == list(range(len(p.disks)))
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_row_order_changes_neither_report_nor_work(self, name, order, monkeypatch):
+        # Rows are visited parents first by stored depth, so children
+        # listed before their parents are still certified: only the
+        # depth-0 row costs inner products (4 norms and 6 pairs).
+        p = fresh_copy(name, 3)
+        calls = []
+
+        def counting_inner(x, y):
+            calls.append(None)
+            return inner(x, y)
+
+        monkeypatch.setattr(descartes, "inner", counting_inner)
+        expected = verify_packing(p)
+        in_order = len(calls)
+        if order == "reversed":
+            p.quadruples.reverse()
+        else:
+            random.Random(7).shuffle(p.quadruples)
+        del calls[:]
+        report = verify_packing(p)
+        assert len(calls) == in_order == 10
+        assert report == expected
 
     def test_report_key_order(self):
         report = verify_packing(generate(PackingConfig(seed="window", max_depth=1)))
