@@ -18,7 +18,7 @@ from . import chains
 from .field import FieldElement, decimal_str, PHI, TAU, SQRT5, SQRT_PHI, SQRT_TAU, RHO, RHO_BAR, OMEGA
 from .disks import DiskSymbol, center_radius
 from .jsonio import export_json, import_json
-from .packing import BUILTIN_SEEDS, PackingConfig, classify, generate, verify_packing
+from .packing import BUILTIN_SEEDS, Packing, PackingConfig, classify, generate, verify_packing
 from .render import RenderOptions, render_svg
 
 _SEED_BLURBS = {
@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("seeds", help="list builtin seed configurations")
+    p_seeds = sub.add_parser("seeds", help="list builtin seed configurations")
+    p_seeds.set_defaults(run=_cmd_seeds)
 
     p_gen = sub.add_parser("generate", help="expand a seed into a packing JSON file")
     p_gen.add_argument("--seed", required=True, help="builtin seed name")
@@ -48,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--mode", choices=("exact", "float"), default="exact")
     p_gen.add_argument("--out", required=True, help="output JSON path")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_render = sub.add_parser("render", help="draw a packing JSON file as SVG")
     p_render.add_argument("--in", dest="infile", required=True, help="input JSON path")
@@ -60,24 +62,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument(
         "--min-px", type=float, default=0.25, help="skip circles smaller than this radius"
     )
+    p_render.set_defaults(run=_cmd_render)
 
     p_verify = sub.add_parser("verify", help="re-check all invariants of a packing file")
     p_verify.add_argument("--in", dest="infile", required=True)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_classify = sub.add_parser("classify", help="report the curvature taxonomy verdict")
     p_classify.add_argument("--in", dest="infile", required=True)
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_chain = sub.add_parser("chain", help="print a tangent-chain table (TSV)")
     p_chain.add_argument("--kind", choices=("zigzag", "spiral"), required=True)
     p_chain.add_argument("--from", dest="start", type=int, required=True)
     p_chain.add_argument("--to", dest="stop", type=int, required=True)
     p_chain.add_argument("--digits", type=int, default=6)
+    p_chain.set_defaults(run=_cmd_chain)
 
-    sub.add_parser("constants", help="print the named constants and identity checks")
+    p_constants = sub.add_parser("constants", help="print the named constants and identity checks")
+    p_constants.set_defaults(run=_cmd_constants)
     return parser
 
 
-def _cmd_seeds() -> int:
+def _read_packing(path: str) -> Packing:
+    with open(path, "r", encoding="utf-8") as handle:
+        return import_json(handle.read())
+
+
+def _cmd_seeds(args: argparse.Namespace) -> int:
     for name in BUILTIN_SEEDS:
         print(f"{name}\t{_SEED_BLURBS[name]}")
     return 0
@@ -114,8 +126,7 @@ def _parse_viewport(text: str):
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as handle:
-        packing = import_json(handle.read())
+    packing = _read_packing(args.infile)
     viewport = _parse_viewport(args.viewport) if args.viewport else None
     options = RenderOptions(
         viewport=viewport,
@@ -133,9 +144,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as handle:
-        packing = import_json(handle.read())
-    report = verify_packing(packing)
+    report = verify_packing(_read_packing(args.infile))
     print(f"mode: {report['mode']}")
     print(f"disks: {report['disk_count']}, quadruples: {report['quadruple_count']}")
     for key in ("norm_violations", "extended_violations", "tangency_violations"):
@@ -148,9 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as handle:
-        packing = import_json(handle.read())
-    verdict = classify(packing)
+    verdict = classify(_read_packing(args.infile))
     print(f"type: {verdict.tag}")
     print(f"min_curvature: {verdict.min_curvature:.6f}")
     print(f"zero_curvature_disks: {verdict.zero_curvature_disks}")
@@ -182,7 +189,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_constants() -> int:
+def _cmd_constants(args: argparse.Namespace) -> int:
     named = (
         ("phi", PHI),
         ("tau", TAU),
@@ -214,24 +221,9 @@ def _cmd_constants() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "seeds":
-            return _cmd_seeds()
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-        if args.command == "constants":
-            return _cmd_constants()
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (OSError, ValueError) as exc:
         # ParseError, UnknownSeed, InvalidSeed and EmptyPacking are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
@@ -241,7 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from .field import FieldElement, sqrt_in_field
-from .disks import DiskSymbol, inner, tangency_residual
-
-Scalar = Union["FieldElement", float]
+from .disks import DiskSymbol, Scalar, inner, tangency_residual
 
 __all__ = [
     "Quadruple",
@@ -167,9 +165,12 @@ def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
 # The input guard is absolute, so the solver's domain is triples tangent
 # to 1e-9 in absolute terms: large tangent disks are rejected, because the
 # float residual of an exactly tangent pair grows like the square of its
-# size.  Accuracy does not need the guard.  The cofactors are summed
-# exactly, and with no guard every spiral triple for n in -20..20 but one
-# completes to relative error below 1e-8.
+# size.  The guard does not secure accuracy, measured per completion as
+# |float - exact|_inf / max(1, |exact|_inf).  It is not sufficient: the
+# zigzag triple (D15, D16, D17) has float residual 0 and completes off by
+# 7.0e-3.  Verify's scaled test in its place would be unsound: spiral
+# triples pass it down to n = -40, with errors from 5.2e-6 at n = -21 to
+# 2.2e4 at n = -40.
 _TANGENCY_TOL = 1e-9
 
 

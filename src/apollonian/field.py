@@ -109,6 +109,19 @@ def _by_sign(op):
     return compare
 
 
+def _power(base, n: int, one):
+    """base**n by square and multiply; a negative n inverts base first."""
+    if n < 0:
+        base, n = base.inverse(), -n
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class FieldElement:
     """An element a + b*t + c*t^2 + d*t^3 of Q[t]/(t^4 - t^2 - 1)."""
 
@@ -229,16 +242,7 @@ class FieldElement:
         return FieldElement._raw(o) * self.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     # -- structural equality and ordering by real embedding -------------
 
@@ -298,10 +302,6 @@ class FieldElement:
         if spec[:1] == "." and spec[-1:] == "f" and digits.isdecimal():
             return decimal_str(self, int(digits))
         return super().__format__(spec)
-
-    def decimal(self, digits: int) -> str:
-        """Correctly rounded decimal string with `digits` fractional digits."""
-        return decimal_str(self, digits)
 
     def is_rational(self) -> bool:
         return not (self.coeffs[1] or self.coeffs[2] or self.coeffs[3])
@@ -526,16 +526,7 @@ class ComplexFieldElement:
         return o * self.inverse()
 
     def __pow__(self, n: int) -> "ComplexFieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ComplexFieldElement(ONE, ZERO)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ComplexFieldElement(ONE, ZERO))
 
     def __eq__(self, other: object) -> bool:
         o = _as_complex(other)
@@ -548,9 +539,6 @@ class ComplexFieldElement:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re.approx(), self.im.approx())
 
     def __repr__(self) -> str:
         return f"ComplexFieldElement({self.re.to_string()!r}, {self.im.to_string()!r})"

@@ -17,7 +17,7 @@ import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement, decimal_str
-from .disks import DiskSymbol, center_radius
+from .disks import DiskSymbol, Scalar, center_radius
 from .descartes import Quadruple
 from .packing import Packing, classify
 
@@ -26,8 +26,6 @@ __all__ = ["FORMAT_VERSION", "ParseError", "export_json", "import_json"]
 FORMAT_VERSION = 1
 
 APPROX_DIGITS = 12
-
-Scalar = Union["FieldElement", float]
 
 
 class ParseError(ValueError):

@@ -2,9 +2,9 @@
 
 Starting from a seed Descartes configuration, every curvilinear gap is
 filled by swapping one disk of a known quadruple for its mirror
-completion.  The orbit is walked breadth first; each frontier entry
-remembers which index was just replaced so the reflection that would
-re-create the parent is skipped.  Nothing needs deduplicating: the walk
+completion.  The orbit is walked breadth first; each row remembers
+which index was just replaced so the reflection that would re-create
+the parent is skipped.  Nothing needs deduplicating: the walk
 enumerates reduced words of the Apollonian group, which acts freely on
 ordered Descartes quadruples (Graham, Lagarias, Mallows, Wilks, Yan,
 "Apollonian circle packings: geometry and group theory I",
@@ -24,17 +24,15 @@ instead of a guess.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
-from .disks import DiskSymbol
+from .disks import DiskSymbol, Scalar
 from .descartes import Quadruple, _differs, _scaled_residual, reflect_fourth
 from . import chains
-
-Scalar = Union["FieldElement", float]
 
 __all__ = [
     "UnknownSeed",
@@ -95,7 +93,7 @@ def builtin_seed(name: str) -> Quadruple:
         axis, d0, d1 = chains.zigzag_seed()
         return Quadruple((axis, d0, d1, chains.zigzag_disk(2).symbol))
     if name == "plane_spiral":
-        return Quadruple(tuple(chains.spiral_disk(n).symbol for n in range(4)))
+        return chains.spiral_quadruple(0)
     raise UnknownSeed(f"unknown seed {name!r}; choose one of {', '.join(BUILTIN_SEEDS)}")
 
 
@@ -110,14 +108,12 @@ class PackingConfig:
     Strips, half-planes and the plane hold infinitely many, so
     `generate` rejects a cap alone for them.  In exact mode
     max_curvature may be an int, Fraction or FieldElement; in float
-    mode it is coerced to float.  The optional viewport is kept
-    for output stages (rendering); it never affects expansion.
+    mode it is coerced to float.
     """
 
     seed: Union[Quadruple, str]
     max_depth: Optional[int] = None
     max_curvature: Optional[Union[int, Fraction, float, FieldElement]] = None
-    viewport: Optional[Tuple[float, float, float, float]] = None
     mode: str = "exact"
 
 
@@ -188,6 +184,8 @@ def generate(config: PackingConfig) -> Packing:
     """Breadth-first orbit expansion of the seed quadruple."""
     if config.max_depth is None and config.max_curvature is None:
         raise ValueError("config must bound the orbit: set max_depth or max_curvature")
+    if config.max_depth is not None and config.max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, not {config.max_depth}")
     seed_name: Optional[str] = None
     seed = config.seed
     if isinstance(seed, str):
@@ -218,24 +216,23 @@ def generate(config: PackingConfig) -> Packing:
         elif not isinstance(cap, FieldElement):
             cap = FieldElement(Fraction(cap))
 
-    frontier = deque([(seed, (0, 1, 2, 3), -1, 0)])
-    while frontier:
-        quad, idx, skip, depth = frontier.popleft()
-        if config.max_depth is not None and depth >= config.max_depth:
-            continue
+    # `rows` is the breadth-first queue: it grows while it is walked, in
+    # depth order, and skips[r] is the position row r replaced.
+    skips = [-1]
+    for r, (idx, depth) in enumerate(rows):
+        if depth == config.max_depth:
+            break
+        quad = Quadruple(tuple(disks[j] for j in idx))
         for i in range(4):
-            if i == skip:
+            if i == skips[r]:
                 continue
             mirrored = reflect_fourth(quad, i)
             if cap is not None and mirrored.beta > cap:
                 continue
-            child_idx = idx[:i] + (len(disks),) + idx[i + 1 :]
+            rows.append((idx[:i] + (len(disks),) + idx[i + 1 :], depth + 1))
+            skips.append(i)
             disks.append(mirrored)
             depths.append(depth + 1)
-            rows.append((child_idx, depth + 1))
-            replaced = list(quad.disks)
-            replaced[i] = mirrored
-            frontier.append((Quadruple(tuple(replaced)), child_idx, i, depth + 1))
 
     sort_key = _exact_key if config.mode == "exact" else _float_key
     order = sorted(range(len(disks)), key=lambda i: (depths[i], sort_key(disks[i])))
@@ -249,7 +246,6 @@ def generate(config: PackingConfig) -> Packing:
         disks=[disks[i] for i in order],
         disk_depths=[depths[i] for i in order],
         quadruples=[(tuple(rank[j] for j in idx), depth) for idx, depth in rows],
-        viewport=config.viewport,
     )
 
 

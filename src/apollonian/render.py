@@ -14,6 +14,7 @@ viewport.  Circles smaller than min_px pixels are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -56,33 +57,30 @@ def _auto_viewport(geoms: List[Tuple]) -> Tuple[float, float, float, float]:
         return (-1.0, -1.0, 1.0, 1.0)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    pad = 0.05 * max(x1 - x0, y1 - y0)
     return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
 
 
 def _clip_line(
     nx: float, ny: float, s: float, box: Tuple[float, float, float, float]
 ) -> Optional[Tuple[float, float, float, float]]:
-    """Segment of the line {p : <p, n> = s} inside the box, if any."""
+    """Segment of the line {p : <p, n> = s} inside the box, if any.
+
+    The line is p(u) = s*n + u*(-ny, nx); each of the box's two slabs
+    bounds u to an interval, or keeps the whole line or none of it when
+    the line runs parallel to the slab.  The endpoints come sorted.
+    """
     x0, y0, x1, y1 = box
-    pts: List[Tuple[float, float]] = []
-    if abs(ny) > 1e-15:
-        for xe in (x0, x1):
-            y = (s - nx * xe) / ny
-            if y0 - 1e-9 <= y <= y1 + 1e-9:
-                pts.append((xe, y))
-    if abs(nx) > 1e-15:
-        for ye in (y0, y1):
-            x = (s - ny * ye) / nx
-            if x0 - 1e-9 <= x <= x1 + 1e-9:
-                pts.append((x, ye))
-    unique: List[Tuple[float, float]] = []
-    for p in sorted(pts):
-        if not unique or abs(p[0] - unique[-1][0]) > 1e-9 or abs(p[1] - unique[-1][1]) > 1e-9:
-            unique.append(p)
-    if len(unique) < 2:
+    lo, hi = -math.inf, math.inf
+    for base, step, a, b in ((s * nx, -ny, x0, x1), (s * ny, nx, y0, y1)):
+        if step:
+            ua, ub = sorted(((a - base) / step, (b - base) / step))
+            lo, hi = max(lo, ua), min(hi, ub)
+        elif not a <= base <= b:
+            return None
+    if not -math.inf < lo < hi < math.inf:
         return None
-    (ax, ay), (bx, by) = unique[0], unique[-1]
+    (ax, ay), (bx, by) = sorted((s * nx - u * ny, s * ny + u * nx) for u in (lo, hi))
     return (ax, ay, bx, by)
 
 
@@ -117,11 +115,17 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
     geoms = [approx_geometry(v) for v in views]
     box = options.viewport or packing.viewport or _auto_viewport(geoms)
     x0, y0, x1, y1 = box
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"degenerate viewport {box}")
     width, height = options.width_px, options.height_px
+    if not all(0 < e < math.inf for e in (x1 - x0, y1 - y0, width, height)):
+        raise ValueError(
+            f"viewport {box} on a {width}x{height} canvas: extents must be finite and positive"
+        )
     scale = min(width / (x1 - x0), height / (y1 - y0))
     mid_x, mid_y = (x0 + x1) / 2, (y0 + y1) / 2
+    if not (0 < scale < math.inf and math.isfinite(mid_x) and math.isfinite(mid_y)):
+        raise ValueError(
+            f"viewport {box} on a {width}x{height} canvas: scale and center must be finite"
+        )
 
     def to_px(wx: float, wy: float) -> Tuple[float, float]:
         return (width / 2 + (wx - mid_x) * scale, height / 2 - (wy - mid_y) * scale)
@@ -171,7 +175,7 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
             body.append(
                 '<text x="%.3f" y="%.3f" font-size="%.3f" font-family="monospace" '
                 'text-anchor="middle" dominant-baseline="central" fill="%s">%s</text>'
-                % (px, py, font, STROKE, _escape(text))
+                % (px, py, font, STROKE, text)
             )
     if drawn == 0:
         raise EmptyPacking("no disk intersects the viewport at a drawable size")
@@ -183,7 +187,3 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         % (width, height, BACKGROUND),
     ]
     return ("\n".join(head + body + ["</svg>"]) + "\n").encode("utf-8")
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

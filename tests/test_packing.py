@@ -123,6 +123,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(PackingConfig(seed="window"))
 
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_depth_is_an_input_error(self, depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            generate(PackingConfig(seed="window", max_depth=depth))
+
     def test_rejects_invalid_seed(self):
         from apollonian.descartes import Quadruple
         from apollonian.disks import DiskSymbol

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 from apollonian import cli
 from apollonian.cli import main
 from apollonian.jsonio import FORMAT_VERSION, ParseError, export_json, import_json
-from apollonian.packing import PackingConfig, generate
+from apollonian.descartes import Quadruple
+from apollonian.disks import DiskSymbol
+from apollonian.packing import PackingConfig, builtin_seed, generate
 from apollonian.render import EmptyPacking, RenderOptions, render_svg
 
 
@@ -44,6 +47,18 @@ def float_xr(value):
 @pytest.fixture(scope="module")
 def window_packing():
     return generate(PackingConfig(seed="window", max_depth=3))
+
+
+@pytest.fixture(scope="module")
+def golden_depth_six():
+    return generate(PackingConfig(seed="halfplane_golden", max_depth=6))
+
+
+@pytest.fixture(scope="module")
+def belt_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("belt") / "belt.json"
+    path.write_text(export_json(generate(PackingConfig(seed="belt", max_depth=2))))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +193,40 @@ class TestRender:
         with pytest.raises(ValueError):
             render_svg(window_packing, RenderOptions(viewport=(1.0, 0.0, -1.0, 2.0)))
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            RenderOptions(viewport=(-math.inf, -1.0, math.inf, 1.0)),
+            RenderOptions(viewport=(-1e-320, -1e-320, 1e-320, 1e-320)),
+            RenderOptions(viewport=(1e308, 0.0, 1.7e308, 1.0)),
+            RenderOptions(width_px=0),
+            RenderOptions(width_px=-5),
+        ],
+    )
+    def test_canvas_needs_a_finite_scale(self, window_packing, options):
+        with pytest.raises(ValueError, match="canvas"):
+            render_svg(window_packing, options)
+
+    @pytest.mark.parametrize("size", [1e-10, 1e-12])
+    def test_fitted_viewport_at_any_scale(self, size):
+        # The float window seed shrunk by `size` fills the canvas as at size 1.
+        def radii_px(factor):
+            disks = [d.approx() for d in builtin_seed("window")]
+            seed = tuple(DiskSymbol(d.xr, d.yr, d.beta / factor, d.gamma * factor) for d in disks)
+            p = generate(PackingConfig(seed=Quadruple(seed), max_depth=3, mode="float"))
+            svg = render_svg(p)
+            return sorted(float(r) for r in re.findall(rb' r="([0-9.]+)"', svg))
+
+        assert radii_px(size) == radii_px(1.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-10, 1e-12])
+    def test_line_is_clipped_at_any_scale(self, golden_depth_six, h):
+        # A box of half-side h around the zigzag limit (1/sqrt(5), 0): the
+        # axis crosses it at every scale.
+        x = 0.4472135954999579
+        payload = render_svg(golden_depth_six, RenderOptions(viewport=(x - h, -h, x + h, h)))
+        assert payload.count(b"<line") == 1
+
     def test_float_packing_renders(self, float_packing):
         payload = render_svg(float_packing)
         assert payload.count(b"<circle") >= 4
@@ -231,6 +280,30 @@ class TestCli:
         assert "negative-curvature" in result.stderr
         assert "Traceback" not in result.stdout + result.stderr
         assert not out_json.exists()
+
+    def test_negative_depth_exits_2(self, tmp_path):
+        out_json = tmp_path / "neg.json"
+        result = run_cli("generate", "--seed", "window", "--depth", "-3", "--out", str(out_json))
+        assert result.returncode == 2
+        assert "max_depth" in result.stderr
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--viewport=-inf,-1,inf,1"],
+            ["--viewport=-1e-320,-1e-320,1e-320,1e-320"],
+            ["--width", "0"],
+            ["--width", "-5"],
+        ],
+    )
+    def test_render_needs_a_finite_scale(self, belt_path, tmp_path, args):
+        out_svg = tmp_path / "p.svg"
+        result = run_cli("render", "--in", str(belt_path), "--out", str(out_svg), *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not out_svg.exists()
 
     def test_unknown_seed_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--seed", "bogus", "--depth", "1", "--out", str(tmp_path / "x.json")])
