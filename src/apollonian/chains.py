@@ -346,17 +346,19 @@ def wedge_checks() -> Dict[str, object]:
     """Triangle identities plus the tangency facts for the zigzag wedge."""
     sqrt2 = math.sqrt(2.0)
     defects = {}
-    for n in range(0, 4):
+    tangent = []
+    for n in range(-8, 9):
         a, b = third_cos_line_distance_parts(n)
-        dist2 = a.approx() + b.approx() * sqrt2
-        r = center_radius(zigzag_disk(n).symbol)[2].approx()
-        defects[n] = abs(math.sqrt(abs(dist2)) - r)
+        r = center_radius(zigzag_disk(n).symbol)[2]
+        tangent.append(b == 0 and a == r * r)
+        if 0 <= n < 4:
+            defects[n] = abs(math.sqrt(abs(a.approx() + b.approx() * sqrt2)) - r.approx())
     return {
         # 1^2 + (2 sqrt(2))^2 = 3^2 and 1^2 + (2 phi sqrt(phi))^2 = (phi^3)^2
         "triangle_1_2sqrt2_3": 1 + 8 == 9,
         "triangle_1_2phisqrtphi_phicubed": ONE + 4 * PHI**3 == PHI**6,
         "parity_tangency_ok": all(zigzag_wedge_tangency_ok(n) for n in range(-8, 9)),
-        "single_third_cos_line_tangent": False,
+        "single_third_cos_line_tangent": all(tangent),
         "third_cos_line_defects": defects,
         "lines": zigzag_wedge_lines(),
         "spiral_note": (

@@ -29,6 +29,14 @@ _SEED_BLURBS = {
 }
 
 
+def _digits(text: str) -> int:
+    """A --digits value: a count of decimal places, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apollonian",
@@ -58,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--width", type=int, default=800)
     p_render.add_argument("--height", type=int, default=800)
     p_render.add_argument("--labels", choices=("none", "curvature", "symbol"), default="none")
-    p_render.add_argument("--digits", type=int, default=4, help="decimal digits in labels")
+    p_render.add_argument("--digits", type=_digits, default=4, help="decimal digits in labels")
     p_render.add_argument(
         "--min-px", type=float, default=0.25, help="skip circles smaller than this radius"
     )
@@ -76,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--kind", choices=("zigzag", "spiral"), required=True)
     p_chain.add_argument("--from", dest="start", type=int, required=True)
     p_chain.add_argument("--to", dest="stop", type=int, required=True)
-    p_chain.add_argument("--digits", type=int, default=6)
+    p_chain.add_argument("--digits", type=_digits, default=6)
     p_chain.set_defaults(run=_cmd_chain)
 
     p_constants = sub.add_parser("constants", help="print the named constants and identity checks")

@@ -30,11 +30,12 @@ cofactors, also with no square root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
 from .field import FieldElement, sqrt_in_field
-from .disks import DiskSymbol, Scalar, inner, tangency_residual
+from .disks import DiskSymbol, Scalar, inner
 
 __all__ = [
     "Quadruple",
@@ -56,7 +57,8 @@ class NotRepresentable(ValueError):
 
 
 class NotTangentEnough(ValueError):
-    """Float seed disks are not pairwise tangent within tolerance."""
+    """The float solver refuses a triple: a pair fails verify's scaled
+    tangency test, or the completions' error bound exceeds FLOAT_TOL."""
 
 
 class InvalidQuadruple(ValueError):
@@ -69,6 +71,10 @@ F_GRAM: Tuple[Tuple[int, ...], ...] = (
     (1, 1, -1, 1),
     (1, 1, 1, -1),
 )
+
+# The one float tolerance: verify's scaled residual test, the float
+# solver's refusals and float generation's zero-curvature test use it.
+FLOAT_TOL = 1e-9
 
 # The upper triangle of M^T Q M, norms included: its 10 distinct entries.
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -162,25 +168,9 @@ def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
     return total + total - q.disks[index]
 
 
-# The input guard is absolute, so the solver's domain is triples tangent
-# to 1e-9 in absolute terms: large tangent disks are rejected, because the
-# float residual of an exactly tangent pair grows like the square of its
-# size.  The guard does not secure accuracy, measured per completion as
-# |float - exact|_inf / max(1, |exact|_inf).  It is not sufficient: the
-# zigzag triple (D15, D16, D17) has float residual 0 and completes off by
-# 7.0e-3.  Verify's scaled test in its place would be unsound: spiral
-# triples pass it down to n = -40, with errors from 5.2e-6 at n = -21 to
-# 2.2e4 at n = -40.
-_TANGENCY_TOL = 1e-9
-
-
-def _minor(a, b, e, i: int, j: int, k: int):
-    """det of rows a, b, e restricted to columns i < j < k."""
-    return (
-        e[i] * (a[j] * b[k] - a[k] * b[j])
-        - e[j] * (a[i] * b[k] - a[k] * b[i])
-        + e[k] * (a[i] * b[j] - a[j] * b[i])
-    )
+def _minors(p, q):
+    """The 2x2 minors p_i q_j - p_j q_i of rows p, q, keyed by columns i < j."""
+    return {(i, j): p[i] * q[j] - p[j] * q[i] for i, j in _ENTRIES if i < j}
 
 
 def solve_fourth_float(
@@ -196,38 +186,50 @@ def solve_fourth_float(
     det[d1; d2; d3; u] = <u, u>, and the Gram determinant of d1, d2, d3,
     u gives <u, u>^2 det Q = det G3 <u, u>: <u, u> = det G3 / det Q =
     4 / (-1/4) = -16 for a tangent triple, whose Gram matrix is G3.
+
+    Contract: if the inputs are an exactly tangent triple rounded to
+    floats, each completion is within FLOAT_TOL max(1, |completion|_inf)
+    of the exact one, to first order in the unit roundoff 2^-53, or
+    NotTangentEnough is raised.  A triple is refused when a pair fails
+    verify's test |<x, y> - 1| <= FLOAT_TOL |x|_inf |y|_inf, or when the
+    error bound exceeds that for either completion: per component, the
+    roundoff times sum |x| |cofactor of x| over the minor's 9 entries,
+    plus 3 roundoff sum |terms| for s.
     """
     disks = (d1.approx(), d2.approx(), d3.approx())
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not tangency_residual(disks[i], disks[j]) <= _TANGENCY_TOL:
-                raise NotTangentEnough(
-                    f"disks {i} and {j} have tangency residual "
-                    f"{tangency_residual(disks[i], disks[j]):.3e}"
-                )
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        residual = _scaled_residual(disks[i], disks[j], 1)
+        if not residual <= FLOAT_TOL:
+            raise NotTangentEnough(f"disks {i} and {j} have scaled tangency residual {residual:.3e}")
     # The cofactors are cubic in the inputs and cancel down to their
     # size, so they are summed exactly: each component is an integer
-    # over the common power of two `den`.
+    # over the common power of two `den`.  A row's cofactors are the
+    # 2x2 minors of the other two rows.
     ratios = [x.as_integer_ratio() for d in disks for x in d.components()]
     den = max(m for _, m in ratios)
     ints = [n * (den // m) for n, m in ratios]
-    a, b, e, cube = ints[0:4], ints[4:8], ints[8:12], den**3
-    w_disk = DiskSymbol(
-        _minor(a, b, e, 1, 2, 3) / (2 * cube),
-        -_minor(a, b, e, 0, 2, 3) / (2 * cube),
-        _minor(a, b, e, 0, 1, 2) / cube,
-        -_minor(a, b, e, 0, 1, 3) / cube,
-    )
+    a, b, e = ints[0:4], ints[4:8], ints[8:12]
+    rows = ((a, _minors(b, e)), (b, _minors(a, e)), (e, _minors(a, b)))
+    minors, sensitivities = [], []
+    for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 2), (0, 1, 3)):
+        terms = [(r[i] * m[j, k], -r[j] * m[i, k], r[k] * m[i, j]) for r, m in rows]
+        minors.append(sum(terms[2]))  # expanded along e
+        sensitivities.append(sum(abs(t) for row in terms for t in row))
+    # w = (c_123 / 2, -c_023 / 2, c_012, -c_013) / den^3, in component order
+    cube = den**3
+    dens = (2 * cube, -2 * cube, cube, -cube)
+    roundoff = sys.float_info.epsilon / 2
+    columns = zip(sensitivities, dens, zip(*(d.components() for d in disks)))
+    try:
+        w_disk = DiskSymbol(*(m / h for m, h in zip(minors, dens)))
+        bound = max(roundoff * (c / abs(h) + 3 * sum(map(abs, col))) for c, h, col in columns)
+    except OverflowError:
+        raise NotTangentEnough("completion or error bound past the float range") from None
     if inner(w_disk, w_disk) >= 0:
         raise NotTangentEnough("no real completion: orthogonal direction not timelike")
     s = disks[0] + disks[1] + disks[2]
-    first = s + w_disk
-    second = s - w_disk
-    if (first.beta, first.gamma, first.xr, first.yr) < (
-        second.beta,
-        second.gamma,
-        second.xr,
-        second.yr,
-    ):
-        first, second = second, first
-    return (first, second)
+    completions = (s + w_disk, s - w_disk)
+    size = min(max(map(abs, d.components())) for d in completions)
+    if not bound <= FLOAT_TOL * max(1.0, size):
+        raise NotTangentEnough(f"completion error bound {bound:.3e} exceeds FLOAT_TOL at size {size:.3e}")
+    return tuple(sorted(completions, key=lambda d: (d.beta, d.gamma, d.xr, d.yr), reverse=True))

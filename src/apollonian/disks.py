@@ -36,7 +36,6 @@ __all__ = [
     "inner",
     "norm_ok",
     "tangent",
-    "tangency_residual",
     "from_center_radius",
     "from_line",
     "center_radius",
@@ -148,10 +147,6 @@ def norm_ok(d: DiskSymbol) -> bool:
 def tangent(d1: DiskSymbol, d2: DiskSymbol) -> bool:
     """Exact test <d1, d2> = +1."""
     return inner(d1, d2) == 1
-
-
-def tangency_residual(d1: DiskSymbol, d2: DiskSymbol) -> float:
-    return abs(float(inner(d1, d2) - 1))
 
 
 def from_center_radius(e: EuclideanDisk) -> DiskSymbol:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, Scalar
-from .descartes import Quadruple, _differs, _scaled_residual, reflect_fourth
+from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, reflect_fourth
 from . import chains
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "curvature_spectrum",
     "verify_packing",
 ]
-
-FLOAT_TOL = 1e-9
 
 
 class UnknownSeed(ValueError):

@@ -9,7 +9,8 @@ Circles are drawn in curvature order (most negative first), so large
 enclosing boundaries never cover smaller disks.  A positive-curvature
 disk is filled, a negative-curvature one is drawn as an outline, and a
 zero-curvature half-plane contributes its boundary line clipped to the
-viewport.  Circles smaller than min_px pixels are dropped.
+viewport.  Circles smaller than min_px pixels are dropped, and a circle
+whose pixel center or radius is not finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
         if cx + abs(r) < x0 or cx - abs(r) > x1 or cy + abs(r) < y0 or cy - abs(r) > y1:
             continue
         px, py = to_px(cx, cy)
+        if not all(map(math.isfinite, (px, py, r_px))):
+            raise ValueError(f"disk {i}: pixel center or radius is not finite at scale {scale:.3e}")
         # A disk's float curvature is nonzero and has the exact one's sign.
         negative = views[i].beta < 0
         fill = "none" if negative else FILL

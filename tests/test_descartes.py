@@ -27,6 +27,7 @@ from apollonian.descartes import (
 from apollonian.disks import DiskSymbol, invert_unit_circle, norm_ok
 from apollonian.field import FieldElement, ONE, PHI, TAU, ZERO
 from apollonian.packing import BUILTIN_SEEDS, Packing, builtin_seed, verify_packing
+from test_packing import inverted_seed
 
 TWO = FieldElement(2)
 HALF = FieldElement(Fraction(1, 2))
@@ -272,6 +273,13 @@ class TestSolveFourthFloat:
         c = DiskSymbol(-5.0, 0.0, 1.0, 24.0)
         with pytest.raises(NotTangentEnough):
             solve_fourth_float(a, b, c)
+        # a tangent triple with one component moved by a relative 1e-6
+        s3 = math.sqrt(3.0)
+        b = DiskSymbol(2.0, 0.0, 1.0, 3.0)
+        c = DiskSymbol(1.0 + 1e-6, s3, 1.0, 3.0)
+        solve_fourth_float(a, b, DiskSymbol(1.0, s3, 1.0, 3.0))  # unmoved: completes
+        with pytest.raises(NotTangentEnough, match="tangency"):
+            solve_fourth_float(a, b, c)
 
     def test_random_triples_recover_dropped_disk(self):
         rng = random.Random(424242)
@@ -296,6 +304,10 @@ class TestSolveFourthFloat:
         c = DiskSymbol(1.0, math.sqrt(3.0), 1.0, 3.0)
         with pytest.raises(NotTangentEnough):
             solve_fourth_float(a, b, c)
+        # a tangent triple whose completions lie past the float range
+        huge = [d.approx() for d in inverted_seed("belt", Fraction(1, 10**60))]
+        with pytest.raises(NotTangentEnough, match="float range"):
+            solve_fourth_float(*huge[:3])
 
 
 def solver_cases(source):
@@ -348,27 +360,30 @@ def test_solver_matches_exact_completions(source):
     assert solved >= 100
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="zigzag n = 15: the triple (D15, D16, D17) has float tangency residual 0 "
-    "and passes the absolute guard, but its axis completion is off by 7.0e-3",
-)
 def test_solver_refuses_or_completes_every_chain_triple():
     # The solver's contract, judged per completion: a triple is refused
     # with NotTangentEnough, or each completion is within 1e-6 of the
-    # exact one relative to max(1, |that completion|_inf).
+    # exact one relative to max(1, |that completion|_inf).  The floors
+    # on completions fail a solver that refuses too much.
     axis = chains.zigzag_axis()
     zigzag = [chains.zigzag_disk(n).symbol for n in range(-40, 43)]
-    quads = [Quadruple((axis,) + tuple(zigzag[i : i + 3])) for i in range(81)]
-    quads += [chains.spiral_quadruple(n) for n in range(-40, 41)]
-    for q in quads:
-        for k in range(4):
-            triple, exact = float_triple_and_completions(q, k)
-            try:
-                got = solve_fourth_float(*triple)
-            except NotTangentEnough:
-                continue
-            for g, e in zip(got, exact):
-                error = max(abs(a - b) for a, b in zip(g.components(), e.components()))
-                assert error <= 1e-6 * max(1.0, *map(abs, e.components())), (k, error)
+    chain = [Quadruple((axis,) + tuple(zigzag[i : i + 3])) for i in range(81)]
+    chain += [chains.spiral_quadruple(n) for n in range(-40, 41)]
+    groups = [(chain, 380)] + [
+        ([inverted_seed(name, radius) for name in BUILTIN_SEEDS], floor)
+        for radius, floor in ((Fraction(18, 7), 16), (Fraction(1, 10), 16), (Fraction(1, 1000), 8))
+    ]
+    for quads, floor in groups:
+        completed = 0
+        for q in quads:
+            for k in range(4):
+                triple, exact = float_triple_and_completions(q, k)
+                try:
+                    got = solve_fourth_float(*triple)
+                except NotTangentEnough:
+                    continue
+                completed += 1
+                for g, e in zip(got, exact):
+                    error = max(abs(a - b) for a, b in zip(g.components(), e.components()))
+                    assert error <= 1e-6 * max(1.0, *map(abs, e.components())), (k, error)
+        assert completed >= floor, (len(quads), completed)

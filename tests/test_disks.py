@@ -19,7 +19,6 @@ from apollonian.disks import (
     invert_unit_circle,
     norm_ok,
     reflect_in_disk,
-    tangency_residual,
     tangent,
     to_euclidean,
 )
@@ -92,11 +91,6 @@ class TestNormAndInner:
     def test_disjoint_pair_not_tangent(self):
         far = from_center_radius(EuclideanDisk(FieldElement(5), ZERO, ONE))
         assert not tangent(UNIT, far)
-
-    def test_tangency_residual_float(self):
-        a = DiskSymbol(0.0, 0.0, 1.0, -1.0)
-        b = DiskSymbol(2.0, 0.0, 1.0, 3.0)
-        assert tangency_residual(a, b) < 1e-12
 
 
 class TestEuclideanRoundTrip:

@@ -227,6 +227,12 @@ class TestRender:
         payload = render_svg(golden_depth_six, RenderOptions(viewport=(x - h, -h, x + h, h)))
         assert payload.count(b"<line") == 1
 
+    def test_non_finite_pixels_are_refused(self, golden_depth_six):
+        # A box of half-side 1e-305 at the origin has the finite scale 4e307,
+        # at which the large chain disks have no finite pixel geometry.
+        with pytest.raises(ValueError, match=r"disk \d+: pixel center or radius is not finite"):
+            render_svg(golden_depth_six, RenderOptions(viewport=(-1e-305, -1e-305, 1e-305, 1e-305)))
+
     def test_float_packing_renders(self, float_packing):
         payload = render_svg(float_packing)
         assert payload.count(b"<circle") >= 4
@@ -303,6 +309,34 @@ class TestCli:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not out_svg.exists()
+
+    def test_render_never_writes_a_non_finite_number(self, tmp_path):
+        out_json = tmp_path / "hp.json"
+        out_svg = tmp_path / "hp.svg"
+        main(["generate", "--seed", "halfplane_golden", "--depth", "4", "--out", str(out_json)])
+        box = "--viewport=-1e-305,-1e-305,1e-305,1e-305"
+        result = run_cli("render", "--in", str(out_json), "--out", str(out_svg), box)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: disk ") and result.stderr.count("\n") == 1
+        assert not out_svg.exists()
+
+    @pytest.mark.parametrize("command", ["render", "chain"])
+    def test_negative_digits_exits_2(self, tmp_path, command):
+        out_json = tmp_path / "hp.json"
+        out_svg = tmp_path / "hp.svg"
+        main(["generate", "--seed", "halfplane_golden", "--depth", "3", "--out", str(out_json)])
+        if command == "render":
+            args = ["--in", str(out_json), "--out", str(out_svg), "--labels", "curvature", "--digits", "-1"]
+        else:
+            args = ["--kind", "zigzag", "--from", "0", "--to", "2", "--digits", "-2"]
+        result = run_cli(command, *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+            f"apollonian {command}: error: argument --digits: must be at least 0, got {args[-1]}"
+        ]
         assert not out_svg.exists()
 
     def test_unknown_seed_exits_2(self, tmp_path, capsys):
