@@ -58,7 +58,8 @@ class NotRepresentable(ValueError):
 
 class NotTangentEnough(ValueError):
     """The float solver refuses a triple: a pair fails verify's scaled
-    tangency test, or the completions' error bound exceeds FLOAT_TOL."""
+    tangency test, the completions' error bound exceeds FLOAT_TOL, or an
+    input, completion or bound lies past the float range."""
 
 
 class InvalidQuadruple(ValueError):
@@ -196,7 +197,10 @@ def solve_fourth_float(
     roundoff times sum |x| |cofactor of x| over the minor's 9 entries,
     plus 3 roundoff sum |terms| for s.
     """
-    disks = (d1.approx(), d2.approx(), d3.approx())
+    try:
+        disks = (d1.approx(), d2.approx(), d3.approx())
+    except OverflowError:
+        raise NotTangentEnough("input disk past the float range") from None
     for i, j in ((0, 1), (0, 2), (1, 2)):
         residual = _scaled_residual(disks[i], disks[j], 1)
         if not residual <= FLOAT_TOL:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
 
@@ -95,6 +96,17 @@ def _relative_norm(u0: int, u1: int, v0: int, v1: int) -> Tuple[int, int]:
     """
     vv = 2 * v0 * v1 + v1 * v1
     return u0 * u0 + u1 * u1 - vv, (2 * u0 + u1) * u1 - v0 * v0 - vv - v1 * v1
+
+
+_CANONICAL_COEFFICIENT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _coefficient(token: str) -> Fraction:
+    """Fraction(token), with the canonical `-?[0-9]+(/[0-9]+)?` read by int."""
+    if _CANONICAL_COEFFICIENT.fullmatch(token):
+        num, _, den = token.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return Fraction(token)
 
 
 def _by_sign(op):
@@ -320,6 +332,7 @@ class FieldElement:
 
     @staticmethod
     def from_string(text: str) -> "FieldElement":
+        """Inverse of `to_string`; a coefficient may be any `Fraction` string."""
         parts = text.split(" + ")
         if len(parts) != 4:
             raise ValueError(f"not a canonical field element: {text!r}")
@@ -328,8 +341,8 @@ class FieldElement:
         for part, suffix in zip(parts, expected):
             if suffix and not part.endswith(suffix):
                 raise ValueError(f"bad term {part!r} in {text!r}")
-            coeffs.append(Fraction(part[: len(part) - len(suffix)] if suffix else part))
-        return FieldElement(*coeffs)
+            coeffs.append(_coefficient(part[: len(part) - len(suffix)] if suffix else part))
+        return FieldElement._raw(tuple(coeffs))
 
     def __repr__(self) -> str:
         return f"FieldElement({self.to_string()!r})"

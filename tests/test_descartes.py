@@ -309,6 +309,11 @@ class TestSolveFourthFloat:
         with pytest.raises(NotTangentEnough, match="float range"):
             solve_fourth_float(*huge[:3])
 
+    def test_exact_input_past_the_float_range_is_refused(self):
+        huge = inverted_seed("window", Fraction(1, 10**160))
+        with pytest.raises(NotTangentEnough, match="float range"):
+            solve_fourth_float(*huge.disks[:3])
+
 
 def solver_cases(source):
     """Exact quadruples whose triples the accuracy test completes."""

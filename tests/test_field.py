@@ -1,5 +1,7 @@
 """Exact arithmetic in Q[t]/(t^4 - t^2 - 1) and certified numerics."""
 
+import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apollonian import field
+from apollonian.jsonio import ParseError, export_json, import_json
+from apollonian.packing import PackingConfig, generate
 from apollonian.field import (
     ComplexFieldElement,
     FieldElement,
@@ -422,6 +426,24 @@ class TestSquareRoots:
         assert root * root == a * a
 
 
+# Tokens around the canonical coefficient grammar -?[0-9]+(/[0-9]+)?:
+# signs, spaces, underscores, decimals, exponents, unreduced and
+# zero-padded fractions, zero and signed denominators, missing parts and
+# a non-ASCII digit.
+COEFFICIENT_TOKENS = [
+    "0", "-0", "+3", " 3 ", "1_0", "0.5", "1e2", "2/4", "-7/0014",
+    "1/0", "-1/-2", "1 /2", "3/", "/3", "", "\u0663",
+]
+
+
+def fraction_rejects(token):
+    try:
+        Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
 class TestSerialization:
     def test_to_string_canonical(self):
         assert PHI.to_string() == "0 + 0*t + 1*t^2 + 0*t^3"
@@ -441,6 +463,42 @@ class TestSerialization:
             FieldElement.from_string("1 + 2*t")
         with pytest.raises(ValueError):
             FieldElement.from_string("x + 0*t + 0*t^2 + 0*t^3")
+
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("token", COEFFICIENT_TOKENS)
+    def test_coefficient_grammar_is_fractions(self, token, position):
+        """A coefficient token means what Fraction(token) means, or fails as it does."""
+        terms = ["0", "0*t", "0*t^2", "0*t^3"]
+        terms[position] = token + terms[position][1:]
+        text = " + ".join(terms)
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                FieldElement.from_string(text)
+        else:
+            coeff = FieldElement.from_string(text).coeffs[position]
+            assert type(coeff) is Fraction and coeff == expected
+
+    @pytest.mark.parametrize("token", [t for t in COEFFICIENT_TOKENS if fraction_rejects(t)])
+    def test_bad_coefficient_is_a_parse_error(self, token):
+        doc = json.loads(export_json(generate(PackingConfig(seed="window", max_depth=0))))
+        doc["disks"][1]["beta"] = f"{token} + 0*t + 0*t^2 + 0*t^3"
+        with pytest.raises(ParseError, match=r"disks\[1\]\.beta"):
+            import_json(json.dumps(doc))
+
+    @given(
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**30),
+        st.integers(1, 10**6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unreduced_fractions(self, num, den, factor, zeros):
+        token = f"{num * factor}/{'0' * zeros}{den * factor}"
+        coeff = FieldElement.from_string(f"{token} + 0*t + 0*t^2 + {token}*t^3").coeffs
+        assert coeff[0] == coeff[3] == Fraction(token) == Fraction(num, den)
+        assert coeff[0].denominator == den // math.gcd(num, den)
 
 
 class TestComplex:

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from apollonian.cli import main
 from apollonian.jsonio import FORMAT_VERSION, ParseError, export_json, import_json
 from apollonian.descartes import Quadruple
 from apollonian.disks import DiskSymbol
-from apollonian.packing import PackingConfig, builtin_seed, generate
+from apollonian.packing import BUILTIN_SEEDS, Packing, PackingConfig, builtin_seed, generate
 from apollonian.render import EmptyPacking, RenderOptions, render_svg
 
+
+from test_packing import inverted_seed, up_to_depth
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,6 +45,11 @@ def float_xr(value):
         doc["disks"][1]["xr"] = value
 
     return mutate
+
+
+def json_dumps_layout(text):
+    """The document `text` holds, as json.dumps(indent=2, sort_keys=True) writes it."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +157,39 @@ class TestJson:
         else:
             doc["stats"] = stats
         assert export_json(import_json(json.dumps(doc))) == text
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("seed", [*BUILTIN_SEEDS, *(f"inverted {n}" for n in BUILTIN_SEEDS)])
+    def test_export_is_json_dumps_layout(self, seed, mode):
+        if seed.startswith("inverted "):
+            seed = inverted_seed(seed.split()[1], Fraction(18, 7))
+        p = generate(PackingConfig(seed=seed, max_depth=4, mode=mode))
+        for depth in range(5):
+            text = export_json(up_to_depth(p, depth))
+            assert text == json_dumps_layout(text)
+
+    def test_export_layout_of_edge_documents(self, window_packing):
+        capped = generate(PackingConfig(seed="window", max_depth=4, max_curvature=20))
+        doc = json.loads(export_json(window_packing))
+        doc["viewport"] = [-1.5, -1.25, 1.5, 1e-300]
+        with_viewport = import_json(json.dumps(doc))
+        doc["quadruples"] = []
+        no_rows = import_json(json.dumps(doc))
+        odd = DiskSymbol(math.inf, math.nan, -math.inf, 0.0)
+        seed = Quadruple(tuple(d.approx() for d in builtin_seed("window").disks))
+        hand_built = Packing(
+            mode="float",
+            seed=seed,
+            seed_name=None,
+            disks=[*seed.disks, odd, DiskSymbol(1e308, -0.0, 2.5, math.nan)],
+            disk_depths=[0, 0, 0, 0, 1, 1],
+            quadruples=[],
+        )
+        for p in (capped, with_viewport, no_rows, hand_built):
+            text = export_json(p)
+            assert text == json_dumps_layout(text)
+        assert '"quadruples": [],' in export_json(no_rows)
+        assert '"xr": Infinity,' in export_json(hand_built)
 
     def test_not_json(self):
         with pytest.raises(ParseError):
