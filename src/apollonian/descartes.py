@@ -47,6 +47,7 @@ __all__ = [
     "extended_ok",
     "extended_residual",
     "fourth_curvatures",
+    "mirror",
     "reflect_fourth",
     "solve_fourth_float",
 ]
@@ -157,6 +158,17 @@ def fourth_curvatures(
     return (total + 2 * root, total - 2 * root)
 
 
+def mirror(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
+    """One component of the other completion: 2(a + b + c) - d.
+
+    a, b and c are the triple's components in index order and d is the
+    replaced disk's; the sum is doubled by addition, which fixes the
+    float operation order.
+    """
+    total = a + b + c
+    return total + total - d
+
+
 def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
     """The other disk tangent to the three disks of q excluding `index`.
 
@@ -164,9 +176,14 @@ def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
     sum to twice the triple's symbol sum.  Applying twice returns the
     original disk.
     """
-    others = [d for i, d in enumerate(q.disks) if i != index]
-    total = others[0] + others[1] + others[2]
-    return total + total - q.disks[index]
+    a, b, c = q.disks[:index] + q.disks[index + 1 :]
+    d = q.disks[index]
+    return DiskSymbol(
+        mirror(a.xr, b.xr, c.xr, d.xr),
+        mirror(a.yr, b.yr, c.yr, d.yr),
+        mirror(a.beta, b.beta, c.beta, d.beta),
+        mirror(a.gamma, b.gamma, c.gamma, d.gamma),
+    )
 
 
 def _minors(p, q):

@@ -19,7 +19,12 @@ lands in Z: `inverse` and `sign` are integer norm computations down
 that tower, and `sqrt_in_field` reduces through it to rational square
 roots (H. Cohen, "A Course in Computational Algebraic Number Theory",
 relative norms).  Equality is structural:
-two elements are equal iff their coefficients are.
+two elements are equal iff their coefficients are.  Comparisons are
+decided by the correctly rounded float, which is monotone and cached
+per element, and by the sign of the difference on a float tie or past
+the float range (the floating-point filter of Shewchuk, "Adaptive
+Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates", 1997).
 
 The numeric views (`approx`, `interval`, `decimal_str`) are exact
 integer enclosures, with no shared state.  The floors of t, phi and t^3
@@ -110,15 +115,37 @@ def _coefficient(token: str) -> Fraction:
 
 
 def _by_sign(op):
-    """Rich comparison op(sign(self - other), 0) under the real embedding."""
+    """Rich comparison op(self, other) under the real embedding.
+
+    Correct rounding is monotone, so fl(x) < fl(y) implies x < y: two
+    different floats decide.  A float tie, or an operand past the float
+    range (it has no float), is decided by op(sign(self - other), 0).
+    """
 
     def compare(self: "FieldElement", other: object) -> bool:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
+        if isinstance(other, FieldElement):
+            g = other._rounded()
+        elif isinstance(other, (int, Fraction)):
+            try:
+                g = float(other)
+            except OverflowError:
+                g = None
+        else:
             return NotImplemented
-        return op(diff.sign(), 0)
+        f = self._rounded()
+        if f is not None and g is not None and f != g:
+            return op(f, g)
+        return op(self.__sub__(other).sign(), 0)
 
     return compare
+
+
+def _quotient(n: int, d: int) -> float:
+    """n / d correctly rounded, with an infinity of n's sign past the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _power(base, n: int, one):
@@ -137,7 +164,9 @@ def _power(base, n: int, one):
 class FieldElement:
     """An element a + b*t + c*t^2 + d*t^3 of Q[t]/(t^4 - t^2 - 1)."""
 
-    __slots__ = ("coeffs",)
+    # _approx caches approx() for comparisons (None past the float
+    # range); it stays unset until the first comparison.
+    __slots__ = ("coeffs", "_approx")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, c: Rational = 0, d: Rational = 0):
         self.coeffs = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
@@ -284,6 +313,18 @@ class FieldElement:
             return su or sv
         return su * _phi_sign(*_relative_norm(u0, u1, v0, v1))
 
+    def _rounded(self) -> Optional[float]:
+        """approx(), computed once per element, or None past the float range."""
+        try:
+            return self._approx
+        except AttributeError:
+            pass
+        try:
+            self._approx = self.approx()
+        except OverflowError:
+            self._approx = None
+        return self._approx
+
     __lt__ = _by_sign(operator.lt)
     __le__ = _by_sign(operator.le)
     __gt__ = _by_sign(operator.gt)
@@ -296,14 +337,18 @@ class FieldElement:
 
         An irrational x lies strictly inside its enclosure; once both
         ends have one sign and round to one float, so does x (int / int
-        true division is correctly rounded).
+        true division is correctly rounded).  An end past the float
+        range rounds to an infinity; OverflowError is raised only when
+        x itself does.
         """
         if self.is_rational():
             return float(self.coeffs[0])
         for lo, hi, d in _refinements(self):
             if lo >= 0 or hi <= 0:
-                f = lo / d
-                if f == hi / d:
+                f = _quotient(lo, d)
+                if f == _quotient(hi, d):
+                    if math.isinf(f):
+                        raise OverflowError("field element past the float range")
                     return f
 
     __float__ = approx

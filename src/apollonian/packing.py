@@ -24,6 +24,7 @@ instead of a guess.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, Scalar
-from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, reflect_fourth
+from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror, reflect_fourth
 from . import chains
 
 __all__ = [
@@ -190,7 +191,10 @@ def generate(config: PackingConfig) -> Packing:
         seed_name = seed
         seed = builtin_seed(seed)
     if config.mode == "float":
-        seed = Quadruple(tuple(d.approx() for d in seed.disks))
+        try:
+            seed = Quadruple(tuple(d.approx() for d in seed.disks))
+        except OverflowError:
+            raise InvalidSeed("seed disk past the float range (float mode)") from None
     elif config.mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'float', not {config.mode!r}")
     elif not all(isinstance(v, FieldElement) for d in seed for v in d.components()):
@@ -209,8 +213,13 @@ def generate(config: PackingConfig) -> Packing:
         )
     cap = config.max_curvature
     if cap is not None:
+        if isinstance(cap, float) and not math.isfinite(cap):
+            raise ValueError(f"max_curvature must be finite, not {cap}")
         if config.mode == "float":
-            cap = float(cap)
+            try:
+                cap = float(cap)
+            except OverflowError:
+                raise ValueError("max_curvature is past the float range (float mode)") from None
         elif not isinstance(cap, FieldElement):
             cap = FieldElement(Fraction(cap))
 
@@ -220,16 +229,27 @@ def generate(config: PackingConfig) -> Packing:
     for r, (idx, depth) in enumerate(rows):
         if depth == config.max_depth:
             break
-        quad = Quadruple(tuple(disks[j] for j in idx))
+        quad = tuple(disks[j] for j in idx)
         for i in range(4):
             if i == skips[r]:
                 continue
-            mirrored = reflect_fourth(quad, i)
-            if cap is not None and mirrored.beta > cap:
+            # reflect_fourth, with the curvature first so a capped child
+            # builds nothing more.
+            a, b, c = quad[:i] + quad[i + 1 :]
+            d = quad[i]
+            beta = mirror(a.beta, b.beta, c.beta, d.beta)
+            if cap is not None and beta > cap:
                 continue
             rows.append((idx[:i] + (len(disks),) + idx[i + 1 :], depth + 1))
             skips.append(i)
-            disks.append(mirrored)
+            disks.append(
+                DiskSymbol(
+                    mirror(a.xr, b.xr, c.xr, d.xr),
+                    mirror(a.yr, b.yr, c.yr, d.yr),
+                    beta,
+                    mirror(a.gamma, b.gamma, c.gamma, d.gamma),
+                )
+            )
             depths.append(depth + 1)
 
     sort_key = _exact_key if config.mode == "exact" else _float_key

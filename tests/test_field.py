@@ -199,6 +199,20 @@ class TestConstants:
         assert (one + RHO_OMEGA).abs2() == 2 * RHO
 
 
+# Pairs whose correctly rounded floats tie, or which have no float.
+BELOW_OVERFLOW = FieldElement(2**1024 - 2**970) - golden_power(-100)
+FLOAT_TIES = [
+    (golden_power(80), FieldElement(fibonacci(79) + fibonacci(81))),  # phi^80 + phi^-80 = L_80
+    (golden_power(80), fibonacci(79) + fibonacci(81)),
+    (ONE, ONE + golden_power(-80)),
+    (ONE, ONE - golden_power(-80)),
+    (FieldElement(10**400), 10**400 + T),
+    (FieldElement(-(10**400)), -(10**400) + T),
+    (10**400, 10**400 + T),
+    (BELOW_OVERFLOW, FieldElement(int(sys.float_info.max))),
+]
+
+
 class TestOrdering:
     def test_signs(self):
         assert PHI.sign() == 1
@@ -248,6 +262,44 @@ class TestOrdering:
         assert tiny.sign() == 1
         assert (T * tiny).sign() == 1
 
+    @pytest.mark.parametrize("x,y", FLOAT_TIES)
+    def test_float_ties_are_decided_exactly(self, x, y):
+        def rounded(v):
+            try:
+                return float(v)
+            except OverflowError:
+                return None
+
+        assert rounded(x) == rounded(y)
+        for a, b in ((x, y), (y, x)):
+            s = (a - b).sign()
+            assert s != 0
+            assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+
+    def test_distinct_floats_never_reach_sign(self, monkeypatch):
+        pairs = [
+            (TAU, ONE),
+            (PHI, RHO),
+            (RHO_BAR, 0),
+            (PHI, Fraction(8, 5)),
+            (-golden_power(-700), ZERO),
+            (golden_power(80), golden_power(81)),
+            (BELOW_OVERFLOW, 10**308),
+        ]
+        expected = [((x - y).sign(), (y - x).sign()) for x, y in pairs]
+        powers = [golden_power(n) for n in range(-30, 31)]
+        shuffled = powers[1::2] + powers[::2]
+
+        def refuse(self):
+            raise AssertionError("a comparison took the exact sign")
+
+        monkeypatch.setattr(FieldElement, "sign", refuse)
+        for (x, y), signs in zip(pairs, expected):
+            for (a, b), s in zip(((x, y), (y, x)), signs):
+                assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert sorted(shuffled) == powers
+        assert min(shuffled) == powers[0] and max(shuffled) == powers[-1]
+
     def test_tight_ordering(self):
         # 1 + 4 phi^3 and phi^6 coincide; nearby values must separate
         assert 1 + 4 * PHI**3 == PHI**6
@@ -288,6 +340,15 @@ class TestCertifiedNumerics:
 
     def test_float_conversion(self):
         assert abs(float(PHI) - 1.618033988749895) < 1e-15
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_approx_below_the_overflow_threshold(self, sign):
+        # 2^1024 - 2^970 is the least value that rounds past the float
+        # range; an enclosure end beyond it must not make approx raise.
+        threshold = FieldElement(2**1024 - 2**970)
+        assert (sign * (threshold - golden_power(-100))).approx() == sign * sys.float_info.max
+        with pytest.raises(OverflowError):
+            (sign * (threshold + golden_power(-100))).approx()
 
     @given(hard_elements, st.integers(min_value=0, max_value=300))
     @settings(max_examples=150, deadline=None)

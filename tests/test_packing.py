@@ -153,6 +153,25 @@ class TestGenerate:
         p = generate(PackingConfig(seed=seed, max_depth=5, mode="float"))
         assert verify_packing(p)["ok"]
 
+    def test_float_mode_rejects_a_seed_past_the_float_range(self):
+        seed = inverted_seed("window", Fraction(1, 10**160))
+        with pytest.raises(InvalidSeed, match="float range"):
+            generate(PackingConfig(seed=seed, max_depth=1, mode="float"))
+
+    @pytest.mark.parametrize(
+        "cap", [Fraction(10**400), 10**400, PHI**2000], ids=["fraction", "int", "field"]
+    )
+    def test_float_cap_past_the_float_range_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="float range"):
+            generate(PackingConfig(seed="window", max_depth=2, max_curvature=cap, mode="float"))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("cap", [math.inf, math.nan])
+    def test_non_finite_cap_is_rejected(self, cap, mode):
+        # A cap alone that prunes nothing would expand the window forever.
+        with pytest.raises(ValueError, match="finite"):
+            generate(PackingConfig(seed="window", max_curvature=cap, mode=mode))
+
     def test_exact_mode_rejects_a_float_seed(self):
         seed = Quadruple(tuple(d.approx() for d in builtin_seed("window")))
         with pytest.raises(InvalidSeed, match="FieldElement"):
@@ -640,6 +659,19 @@ def spectrum_by_scan(p):
     else:
         groups.sort(key=lambda pair: pair[0])
     return groups
+
+
+@pytest.mark.parametrize("exponent", [154, 160])
+def test_spectrum_and_classification_past_the_float_range(exponent):
+    # Inverted at radius 10^-154, 40 of the 45 curvatures of depth 3 have
+    # no float; at 10^-160 none has: comparisons fall back to exact signs.
+    seed = inverted_seed("window", Fraction(1, 10**exponent))
+    p = generate(PackingConfig(seed=seed, max_depth=3))
+    assert curvature_spectrum(p) == spectrum_by_scan(p)
+    smallest = min(p.curvatures(), key=cmp_to_key(lambda a, b: (a - b).sign()))
+    verdict = classify(p)
+    assert verdict.min_curvature == smallest
+    assert (verdict.tag, verdict.zero_curvature_disks) == ("A", 0)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -328,6 +328,17 @@ class TestCli:
         assert "Traceback" not in result.stdout + result.stderr
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("cap", ["1e400", "inf"])
+    def test_float_cap_without_a_float_value_exits_2(self, tmp_path, cap):
+        out_json = tmp_path / "cap.json"
+        result = run_cli(
+            "generate", "--seed", "window", "--depth", "2", "--max-curvature", cap,
+            "--mode", "float", "--out", str(out_json),
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stdout + result.stderr
+        assert not out_json.exists()
+
     def test_negative_depth_exits_2(self, tmp_path):
         out_json = tmp_path / "neg.json"
         result = run_cli("generate", "--seed", "window", "--depth", "-3", "--out", str(out_json))
