@@ -175,25 +175,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _symbol_row(d: DiskSymbol, digits: int) -> List[str]:
+    # Chain disks have curvature 2 phi^(2n) or rho^-n, never 0, so each has a center.
     row = [v.to_string() for v in d.components()]
-    if d.beta:
-        row.extend(decimal_str(v, digits) for v in center_radius(d))
-    else:
-        row.extend(("-", "-", "-"))
-    return row
+    return row + [decimal_str(v, digits) for v in center_radius(d)]
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     if args.stop < args.start:
         print("chain: --to must be >= --from", file=sys.stderr)
         return 2
-    print("\t".join(("n", "xr", "yr", "beta", "gamma", "cx", "cy", "r")))
+    disk = chains.zigzag_disk if args.kind == "zigzag" else chains.spiral_disk
+    # Every row is built before the table is printed, so an error leaves stdout empty.
+    rows = ["\t".join(("n", "xr", "yr", "beta", "gamma", "cx", "cy", "r"))]
     for n in range(args.start, args.stop + 1):
-        if args.kind == "zigzag":
-            symbol = chains.zigzag_disk(n).symbol
-        else:
-            symbol = chains.spiral_disk(n).symbol
-        print("\t".join([str(n)] + _symbol_row(symbol, args.digits)))
+        rows.append("\t".join([str(n)] + _symbol_row(disk(n).symbol, args.digits)))
+    print("\n".join(rows))
     return 0
 
 

@@ -152,8 +152,6 @@ def fourth_curvatures(
         raise NotRepresentable(
             f"radicand {radicand.to_string()} is not a square in the field"
         )
-    if root.sign() < 0:
-        root = -root
     total = b1 + b2 + b3
     return (total + 2 * root, total - 2 * root)
 

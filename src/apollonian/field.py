@@ -16,9 +16,9 @@ so clearing denominators writes an element as (U + V*t)/den with U, V
 in Z[phi], and t -> -t is an automorphism.  Multiplying by the
 conjugate U - V*t lands in Z[phi], one more conjugate (phi -> 1 - phi)
 lands in Z: `inverse` and `sign` are integer norm computations down
-that tower, and `sqrt_in_field` reduces through it to rational square
-roots (H. Cohen, "A Course in Computational Algebraic Number Theory",
-relative norms).  Equality is structural:
+that tower, and `sqrt_in_field` applies one quadratic-extension step at
+both of its levels (H. Cohen, "A Course in Computational Algebraic
+Number Theory", 4.2).  Equality is structural:
 two elements are equal iff their coefficients are.  Comparisons are
 decided by the correctly rounded float, which is monotone and cached
 per element, and by the sign of the difference on a float tie or past
@@ -646,66 +646,49 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _phi_sqrt(e: Fraction, f: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-    """A square root (g, h), meaning g + h*phi, of e + f*phi in Q(phi), or None.
+def _sqrt_step(u, v, c, root):
+    """A square root (p, r), meaning p + r*s, of u + v*s with s^2 = c, or None.
 
-    With e + f*phi = m + n*sqrt(5), a root g' + h'*sqrt(5) needs
-    g'^2 + 5 h'^2 = m and 2 g' h' = n, so g'^2 is a root of
-    w^2 - m w + 5 n^2 / 4, which needs sqrt(m^2 - 5 n^2) in Q.  w = 0
-    forces n = 0, and then h'^2 = m / 5.
+    `root` takes square roots one level down, where u, v and c live.  A
+    root needs p^2 + c r^2 = u and 2 p r = v, so p^2 is a root of
+    z^2 - u z + c v^2 / 4, which needs root(u^2 - c v^2), and then
+    r = v / (2 p); z = 0 forces v = 0, and then r^2 = u / c.
     """
-    m, n = e + f / 2, f / 2
-    r = _rational_sqrt(m * m - 5 * n * n)
-    if r is None:
+    w = root(u * u - c * v * v)
+    if w is None:
         return None
-    for w in ((m + r) / 2, (m - r) / 2):
-        if w:
-            g = _rational_sqrt(w)
-            if g is not None:
-                h = n / (2 * g)
-                return g - h, 2 * h  # sqrt(5) = 2*phi - 1
-        else:
-            h = _rational_sqrt(m / 5)
-            if h is not None:
-                return -h, 2 * h
+    for z in ((u + w) / 2, (u - w) / 2):
+        p = root(z)
+        if p is None:
+            continue
+        if p:
+            return p, v / (2 * p)
+        r = root(u / c)
+        if r is not None:
+            return p, r
     return None
+
+
+def _phi_root(x: FieldElement) -> Optional[FieldElement]:
+    """A square root of x = a + c*phi in Q(phi), or None; sqrt(5) = 2*phi - 1."""
+    a, _, c, _ = x.coeffs
+    pr = _sqrt_step(a + c / 2, c / 2, 5, _rational_sqrt)
+    return None if pr is None else FieldElement(pr[0] - pr[1], 0, 2 * pr[1])
 
 
 def sqrt_in_field(x: FieldElement) -> Optional[FieldElement]:
     """The square root of x that is >= 0 in the real embedding, or None.
 
-    An exact decision down the tower.  With x = U + V*t (U, V in
-    Q(phi)), a root y = P + R*t needs P^2 + phi R^2 = U and 2 P R = V,
-    so P^2 is a root of z^2 - U z + phi V^2 / 4, which needs
-    sqrt(U^2 - phi V^2) in Q(phi); z = 0 forces V = 0, and then
-    R^2 = U / phi.  Square roots in Q(phi) reduce the same way to
-    rational ones.  Every root of x is found, and each candidate is
-    still checked by exact squaring.
+    An exact decision down the tower: x = U + V*t with U, V in Q(phi)
+    is one square-root step over Q(phi) (t^2 = phi), whose radicands
+    take one more step over Q (sqrt(5)^2 = 5).  Every root of x is
+    found, and the candidate is still checked by exact squaring.
     """
-    if not x:
-        return ZERO
     a, b, c, d = x.coeffs
-    u0, u1, v0, v1, den = x._cleared()
-    p, q = _relative_norm(u0, u1, v0, v1)
-    s = _phi_sqrt(Fraction(p), Fraction(q))  # sqrt(den^2 (U^2 - phi V^2))
-    if s is None:
+    pr = _sqrt_step(FieldElement(a, 0, c), FieldElement(b, 0, d), PHI, _phi_root)
+    if pr is None:
         return None
-    u = FieldElement(a, 0, c)
-    v = FieldElement(b, 0, d)
-    root = FieldElement(s[0] / den, 0, s[1] / den)
-    for z in ((u + root) / 2, (u - root) / 2):
-        if z:
-            g = _phi_sqrt(z.coeffs[0], z.coeffs[2])
-            if g is None:
-                continue
-            pp = FieldElement(g[0], 0, g[1])
-            cand = pp + v / (2 * pp) * T
-        else:
-            uu = u * TAU
-            g = _phi_sqrt(uu.coeffs[0], uu.coeffs[2])
-            if g is None:
-                continue
-            cand = FieldElement(0, g[0], 0, g[1])
-        if cand * cand == x:
-            return cand if cand.sign() >= 0 else -cand
-    return None
+    root = pr[0] + pr[1] * T
+    if root * root != x:
+        return None
+    return root if root.sign() >= 0 else -root

@@ -9,9 +9,10 @@ disks and quadruples: export writes it, import ignores it.
 
 The bytes are `json.dumps(doc, indent=2, sort_keys=True)` plus a
 newline, so equal packings serialize to identical bytes.  Export writes
-that layout itself: the disk and quadruple lists from fixed templates,
-each value as `json` writes it, and only the small top-level values
-through `json.dumps`.  With an indent, `json` runs its pure-Python
+that layout itself: the seed, disk and quadruple lists from fixed
+templates (a seed disk is a disk without its depth line), each value
+as `json` writes it, and only the small top-level values through
+`json.dumps`.  With an indent, `json` runs its pure-Python
 encoder, which cost about four fifths of an export's time.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .field import FieldElement, decimal_str
 from .disks import DiskSymbol, Scalar, center_radius
@@ -42,35 +43,6 @@ def _scalar_to_json(value: Scalar) -> Union[str, float]:
     if isinstance(value, FieldElement):
         return value.to_string()
     return value
-
-
-def _symbol_to_json(d: DiskSymbol) -> Dict[str, object]:
-    entry: Dict[str, object] = {
-        "xr": _scalar_to_json(d.xr),
-        "yr": _scalar_to_json(d.yr),
-        "beta": _scalar_to_json(d.beta),
-        "gamma": _scalar_to_json(d.gamma),
-    }
-    if d.is_exact:
-        if d.beta:
-            cx, cy, r = center_radius(d)
-            entry["approx"] = {
-                "cx": decimal_str(cx, APPROX_DIGITS),
-                "cy": decimal_str(cy, APPROX_DIGITS),
-                "r": decimal_str(r, APPROX_DIGITS),
-            }
-        else:
-            entry["approx"] = None
-    else:
-        if d.beta:
-            entry["approx"] = {
-                "cx": d.xr / d.beta,
-                "cy": d.yr / d.beta,
-                "r": 1.0 / d.beta,
-            }
-        else:
-            entry["approx"] = None
-    return entry
 
 
 def _scalar_from_json(value: object, exact: bool, where: str) -> Scalar:
@@ -106,12 +78,13 @@ def _symbol_from_json(obj: object, exact: bool, where: str) -> DiskSymbol:
     return DiskSymbol(*parts)
 
 
-# One disk, its approx block and one quadruple row, laid out as
-# json.dumps(indent=2, sort_keys=True) writes them inside a top-level list.
+# One disk (without the depth line in `seed`), its approx block and one quadruple
+# row, laid out as json.dumps(indent=2, sort_keys=True) writes them in a top-level list.
 _DISK = (
-    '    {\n      "approx": %s,\n      "beta": %s,\n      "depth": %d,\n'
+    '    {\n      "approx": %s,\n      "beta": %s,\n%s'
     '      "gamma": %s,\n      "xr": %s,\n      "yr": %s\n    }'
 )
+_DEPTH = '      "depth": %d,\n'
 _APPROX = '{\n        "cx": %s,\n        "cy": %s,\n        "r": %s\n      }'
 _ROW = (
     '    {\n      "depth": %d,\n      "disks": [\n'
@@ -120,7 +93,9 @@ _ROW = (
 
 
 def _scalar_text(value: object) -> str:
-    """A disk value as json.dumps writes it: a string, an int or a float (allow_nan)."""
+    """A disk value as json.dumps writes it (allow_nan); a FieldElement as its string."""
+    if isinstance(value, FieldElement):
+        value = value.to_string()
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, float):
@@ -132,19 +107,23 @@ def _scalar_text(value: object) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _disk_text(d: DiskSymbol, depth: int) -> str:
-    entry = _symbol_to_json(d)
-    approx = entry["approx"]
-    approx_text = "null"
-    if approx is not None:
-        approx_text = _APPROX % tuple(_scalar_text(approx[key]) for key in ("cx", "cy", "r"))
+def _disk_text(d: DiskSymbol, depth: Optional[int] = None) -> str:
+    """One disk of the `disks` list, or of the `seed` list when depth is None."""
+    if not d.beta:
+        approx = "null"
+    elif d.is_exact:
+        approx = _APPROX % tuple(
+            _scalar_text(decimal_str(v, APPROX_DIGITS)) for v in center_radius(d)
+        )
+    else:
+        approx = _APPROX % tuple(map(_scalar_text, (d.xr / d.beta, d.yr / d.beta, 1.0 / d.beta)))
     return _DISK % (
-        approx_text,
-        _scalar_text(entry["beta"]),
-        depth,
-        _scalar_text(entry["gamma"]),
-        _scalar_text(entry["xr"]),
-        _scalar_text(entry["yr"]),
+        approx,
+        _scalar_text(d.beta),
+        "" if depth is None else _DEPTH % depth,
+        _scalar_text(d.gamma),
+        _scalar_text(d.xr),
+        _scalar_text(d.yr),
     )
 
 
@@ -160,7 +139,6 @@ def export_json(p: Packing) -> str:
         "format_version": FORMAT_VERSION,
         "mode": p.mode,
         "seed_name": p.seed_name,
-        "seed": [_symbol_to_json(d) for d in p.seed.disks],
         "classification": {
             "tag": verdict.tag,
             "min_curvature": _scalar_to_json(verdict.min_curvature),
@@ -175,6 +153,7 @@ def export_json(p: Packing) -> str:
         key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         for key, value in small.items()
     }
+    fields["seed"] = _list_text([_disk_text(d) for d in p.seed.disks])
     fields["disks"] = _list_text(list(map(_disk_text, p.disks, p.disk_depths)))
     fields["quadruples"] = _list_text(
         [_ROW % (depth, *indices) for indices, depth in p.quadruples]

@@ -105,14 +105,12 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
     if options.label_mode not in ("none", "curvature", "symbol"):
         raise ValueError(f"unknown label_mode {options.label_mode!r}")
     # One float view per disk; float symbols are their own view.
-    views = packing.disks
-    if packing.mode == "exact":
-        views = []
-        try:
-            for d in packing.disks:
-                views.append(d.approx())
-        except OverflowError:
-            raise ValueError(f"disk {len(views)}: a component is too large for a float") from None
+    views: List[DiskSymbol] = []
+    try:
+        for d in packing.disks:
+            views.append(d.approx())
+    except OverflowError:
+        raise ValueError(f"disk {len(views)}: a component is too large for a float") from None
     geoms = [approx_geometry(v) for v in views]
     box = options.viewport or packing.viewport or _auto_viewport(geoms)
     x0, y0, x1, y1 = box

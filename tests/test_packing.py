@@ -172,6 +172,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="finite"):
             generate(PackingConfig(seed="window", max_curvature=cap, mode=mode))
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'float', not 'quad'"):
+            generate(PackingConfig(seed="window", max_depth=1, mode="quad"))
+
     def test_exact_mode_rejects_a_float_seed(self):
         seed = Quadruple(tuple(d.approx() for d in builtin_seed("window")))
         with pytest.raises(InvalidSeed, match="FieldElement"):

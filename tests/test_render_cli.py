@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from apollonian import cli
+from apollonian import chains, cli
 from apollonian.cli import main
 from apollonian.jsonio import FORMAT_VERSION, ParseError, export_json, import_json
 from apollonian.descartes import Quadruple
@@ -147,6 +147,30 @@ class TestJson:
             assert fragment in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "mutate,path",
+        [
+            (lambda d: [d], "top level"),
+            (lambda d: {**d, "seed": d["seed"][:3]}, "seed"),
+            (lambda d: {**d, "seed_name": 7}, "seed_name"),
+            (lambda d: {**d, "disks": [d["disks"][0], "disk", *d["disks"][2:]]}, "disks[1]"),
+            (lambda d: {**d, "seed": [{**d["seed"][0], "beta": 1}, *d["seed"][1:]]}, "seed[0].beta"),
+            (lambda d: {**d, "quadruples": {}}, "quadruples"),
+            (lambda d: {**d, "quadruples": [d["quadruples"][0], [0, 1, 2, 3]]}, "quadruples[1]"),
+            (lambda d: {**d, "viewport": [0, 0, 1]}, "viewport"),
+        ],
+    )
+    def test_structural_errors_name_the_path(self, window_packing, tmp_path, capsys, mutate, path):
+        text = json.dumps(mutate(json.loads(export_json(window_packing))))
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: "):
+            import_json(text)
+        doc_path = tmp_path / "p.json"
+        doc_path.write_text(text)
+        assert main(["verify", "--in", str(doc_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "stats", [{"disk_count": "abc", "per_depth": {}}, None], ids=["garbage", "missing"]
     )
     def test_stats_derived_on_import(self, window_packing, stats):
@@ -274,6 +298,12 @@ class TestRender:
         with pytest.raises(ValueError, match=r"disk \d+: pixel center or radius is not finite"):
             render_svg(golden_depth_six, RenderOptions(viewport=(-1e-305, -1e-305, 1e-305, 1e-305)))
 
+    def test_exact_disk_past_the_float_range_is_refused(self):
+        seed = inverted_seed("window", Fraction(1, 10**160))
+        p = generate(PackingConfig(seed=seed, max_depth=1))
+        with pytest.raises(ValueError, match="^disk 0: a component is too large for a float$"):
+            render_svg(p)
+
     def test_float_packing_renders(self, float_packing):
         payload = render_svg(float_packing)
         assert payload.count(b"<circle") >= 4
@@ -339,6 +369,13 @@ class TestCli:
         assert "Traceback" not in result.stdout + result.stderr
         assert not out_json.exists()
 
+    def test_generate_bad_cap_exits_2(self, tmp_path, capsys):
+        out_json = tmp_path / "x.json"
+        args = ["--seed", "window", "--depth", "1", "--max-curvature", "abc", "--out", str(out_json)]
+        assert main(["generate", *args]) == 2
+        assert capsys.readouterr().err == "generate: bad --max-curvature 'abc'\n"
+        assert not out_json.exists()
+
     def test_negative_depth_exits_2(self, tmp_path):
         out_json = tmp_path / "neg.json"
         result = run_cli("generate", "--seed", "window", "--depth", "-3", "--out", str(out_json))
@@ -353,6 +390,7 @@ class TestCli:
             ["--viewport=-1e-320,-1e-320,1e-320,1e-320"],
             ["--width", "0"],
             ["--width", "-5"],
+            ["--viewport", "1,2,3"],
         ],
     )
     def test_render_needs_a_finite_scale(self, belt_path, tmp_path, args):
@@ -428,6 +466,16 @@ class TestCli:
         assert "disk 1" in result.stderr
         assert "Traceback" not in result.stdout + result.stderr
 
+    def test_verify_float_prints_residuals(self, float_packing, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(export_json(float_packing))
+        assert main(["verify", "--in", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("max_")]
+        assert [line.split(": ")[0] for line in lines] == [
+            "max_norm_residual", "max_extended_residual", "max_tangency_residual"
+        ]
+        assert all(re.fullmatch(r"max_\w+: \d\.\d{3}e[+-]\d+", line) for line in lines)
+
     def test_verify_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["verify", "--in", str(tmp_path / "nope.json")])
         capsys.readouterr()
@@ -458,6 +506,20 @@ class TestCli:
         assert main(["chain", "--kind", "spiral", "--from", "0", "--to", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].split("\t")[7] == "1.000000"  # unit base disk radius
+
+    def test_chain_error_leaves_stdout_empty(self, capsys, monkeypatch):
+        zigzag_disk = chains.zigzag_disk
+
+        def fails_on_second_row(n):
+            if n == 1:
+                raise ValueError("row 1 cannot be written")
+            return zigzag_disk(n)
+
+        monkeypatch.setattr(chains, "zigzag_disk", fails_on_second_row)
+        assert main(["chain", "--kind", "zigzag", "--from", "0", "--to", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 1 cannot be written\n"
 
     def test_chain_bad_range(self, capsys):
         assert main(["chain", "--kind", "zigzag", "--from", "2", "--to", "0"]) == 2
