@@ -126,10 +126,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_viewport(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"viewport needs 4 numbers, got {text!r}")
-    x0, y0, x1, y1 = (float(p) for p in parts)
+    try:
+        x0, y0, x1, y1 = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"--viewport needs 4 numbers xmin,ymin,xmax,ymax, got {text!r}") from None
     return (x0, y0, x1, y1)
 
 

@@ -202,7 +202,11 @@ def approx_geometry(d: DiskSymbol) -> Tuple[str, float, float, float]:
     Works on exact and float symbols alike and does not require the
     norm to hold exactly (float symbols carry rounding drift).
     """
-    f = d.approx()
+    return _float_geometry(d.approx())
+
+
+def _float_geometry(f: DiskSymbol) -> Tuple[str, float, float, float]:
+    """approx_geometry of a float symbol."""
     if f.beta == 0.0:
         return ("line", f.xr, f.yr, f.gamma / 2.0)
     return ("disk", f.xr / f.beta, f.yr / f.beta, 1.0 / f.beta)

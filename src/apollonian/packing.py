@@ -14,6 +14,17 @@ order; at the end they are sorted by (depth, symbol) and the quadruple
 rows are renumbered through that permutation, so the output does not
 depend on traversal details.
 
+The mode chooses how the walk encodes a disk.  Float mode walks the
+float symbols, one `mirror` per component.  Exact mode clears each
+seed disk once to an integer row: its 16 rational coefficients times
+D, the lcm of the seed's 64 coefficient denominators.  The reflection
+2(a + b + c) - d is Z-linear, so every orbit disk is an integer row
+over the same D and the walk adds no Fraction; the cap test builds one
+element per distinct curvature, and the DiskSymbols are built once at
+the end.  Verify's orbit certificate compares the same integer rows over
+the seed's D; a disk outside (1/D)Z, which an edited document may
+hold, is checked directly.
+
 Classification follows the curvature taxonomy: the sign of the minimal
 curvature and the number of zero-curvature disks decide types A, B and
 C; type D (all curvatures positive, infimum zero never attained) cannot
@@ -32,7 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, Scalar
-from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror, reflect_fourth
+from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror
 from . import chains
 
 __all__ = [
@@ -179,6 +190,83 @@ def _curvature_sign(beta: Scalar, tol: float) -> int:
     return 0 if _is_zero_curvature(beta, tol) else (1 if beta > 0 else -1)
 
 
+class _FloatRows:
+    """Float mode's disk encoding: the float DiskSymbol itself."""
+
+    @staticmethod
+    def row(d: DiskSymbol) -> DiskSymbol:
+        return d
+
+    @staticmethod
+    def reflect(quad: Tuple[DiskSymbol, ...], i: int) -> DiskSymbol:
+        """reflect_fourth(quad, i), one descartes.mirror per component."""
+        a, b, c = quad[:i] + quad[i + 1 :]
+        d = quad[i]
+        return DiskSymbol(
+            mirror(a.xr, b.xr, c.xr, d.xr),
+            mirror(a.yr, b.yr, c.yr, d.yr),
+            mirror(a.beta, b.beta, c.beta, d.beta),
+            mirror(a.gamma, b.gamma, c.gamma, d.gamma),
+        )
+
+    @staticmethod
+    def curvature(d: DiskSymbol) -> float:
+        return d.beta
+
+    disks = staticmethod(list)
+
+
+class _IntRows:
+    """Exact mode's disk encoding: 16 integers over the seed's denominator.
+
+    A disk's row is its 16 rational coefficients (xr, yr, beta, gamma,
+    each over the basis 1, t, t^2, t^3) times D, the lcm of the seed's
+    64 coefficient denominators.  The reflection 2(a + b + c) - d is
+    Z-linear, so every orbit disk has a row, and two disks with rows
+    are equal iff their rows are.
+    """
+
+    def __init__(self, seed: Quadruple):
+        self.den = math.lcm(*(c.denominator for d in seed for v in d.components() for c in v.coeffs))
+        self._curvatures: Dict[Tuple[int, ...], FieldElement] = {}
+
+    def row(self, d: DiskSymbol) -> Optional[Tuple[int, ...]]:
+        """d's row, or None when some coefficient is not in (1/D)Z."""
+        den = self.den
+        out = []
+        for v in d.components():
+            for n, m in map(Fraction.as_integer_ratio, v.coeffs):
+                if den % m:
+                    return None
+                out.append(n * (den // m))
+        return tuple(out)
+
+    @staticmethod
+    def reflect(quad: Tuple[Tuple[int, ...], ...], i: int) -> Tuple[int, ...]:
+        """reflect_fourth(quad, i) on rows: 2(a + b + c) - d entry by entry."""
+        a, b, c = quad[:i] + quad[i + 1 :]
+        return tuple(map(mirror, a, b, c, quad[i]))
+
+    def _element(self, entries: Tuple[int, ...]) -> FieldElement:
+        den = self.den
+        return FieldElement._raw(tuple(Fraction(n, den) for n in entries))
+
+    def curvature(self, row: Tuple[int, ...]) -> FieldElement:
+        """The curvature, one element per value: a disk keeps the float its cap test cached."""
+        key = row[8:12]
+        beta = self._curvatures.get(key)
+        if beta is None:
+            beta = self._curvatures[key] = self._element(key)
+        return beta
+
+    def disks(self, rows: List[Tuple[int, ...]]) -> List[DiskSymbol]:
+        element = self._element
+        return [
+            DiskSymbol(element(row[:4]), element(row[4:8]), self.curvature(row), element(row[12:]))
+            for row in rows
+        ]
+
+
 def generate(config: PackingConfig) -> Packing:
     """Breadth-first orbit expansion of the seed quadruple."""
     if config.max_depth is None and config.max_curvature is None:
@@ -224,33 +312,26 @@ def generate(config: PackingConfig) -> Packing:
             cap = FieldElement(Fraction(cap))
 
     # `rows` is the breadth-first queue: it grows while it is walked, in
-    # depth order, and skips[r] is the position row r replaced.
+    # depth order, and skips[r] is the position row r replaced.  The
+    # walk runs on the encoded disks, `vectors`, in creation order.
+    encoding = _IntRows(seed) if config.mode == "exact" else _FloatRows
+    vectors = [encoding.row(d) for d in seed.disks]
     skips = [-1]
     for r, (idx, depth) in enumerate(rows):
         if depth == config.max_depth:
             break
-        quad = tuple(disks[j] for j in idx)
+        quad = tuple(vectors[j] for j in idx)
         for i in range(4):
             if i == skips[r]:
                 continue
-            # reflect_fourth, with the curvature first so a capped child
-            # builds nothing more.
-            a, b, c = quad[:i] + quad[i + 1 :]
-            d = quad[i]
-            beta = mirror(a.beta, b.beta, c.beta, d.beta)
-            if cap is not None and beta > cap:
+            child = encoding.reflect(quad, i)
+            if cap is not None and encoding.curvature(child) > cap:
                 continue
-            rows.append((idx[:i] + (len(disks),) + idx[i + 1 :], depth + 1))
+            rows.append((idx[:i] + (len(vectors),) + idx[i + 1 :], depth + 1))
             skips.append(i)
-            disks.append(
-                DiskSymbol(
-                    mirror(a.xr, b.xr, c.xr, d.xr),
-                    mirror(a.yr, b.yr, c.yr, d.yr),
-                    beta,
-                    mirror(a.gamma, b.gamma, c.gamma, d.gamma),
-                )
-            )
+            vectors.append(child)
             depths.append(depth + 1)
+    disks += encoding.disks(vectors[4:])
 
     sort_key = _exact_key if config.mode == "exact" else _float_key
     order = sorted(range(len(disks)), key=lambda i: (depths[i], sort_key(disks[i])))
@@ -322,7 +403,11 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     within a depth), and a row is accepted when its Gram matrix M^T Q M
     is known to be F.  A row r is accepted with no check when an
     accepted row P agrees with it at the three positions other than
-    some k and disks[r[k]] == reflect_fourth(P, k).  Then the columns of
+    some k and disks[r[k]] == reflect_fourth(P, k), compared on integer
+    rows over the seed's denominator D (`_IntRows`): the int row of
+    disks[r[k]] equals 2(a + b + c) - d of P's int rows.  A disk with a
+    coefficient outside (1/D)Z has no int row, so no row that needs it
+    is certified: such rows are checked directly.  Then the columns of
     r are those of P times the generator S_k (the identity except
     column k, which is (2, 2, 2, -1) with the -1 at k), so
     Gram(r) = S_k^T Gram(P) S_k = S_k^T F S_k = F: its 4 norms and 6
@@ -365,10 +450,11 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     max_extended = 0.0
     extended_violations: List[int] = []
     tangency_violations: List[Tuple[int, int, int]] = []
+    vectors = list(map(_IntRows(p.seed).row, disks)) if exact else None
     rows = p.quadruples
     for qi in sorted(range(len(rows)), key=lambda r: rows[r][1]):
         indices = rows[qi][0]
-        if exact and _has_parent(disks, indices, accepted):
+        if exact and _has_parent(vectors, indices, accepted):
             _accept(indices, norms, accepted)
             continue
         for i in indices:
@@ -415,14 +501,21 @@ def _hole(indices: Tuple[int, ...], k: int) -> Tuple[int, ...]:
 
 
 def _has_parent(
-    disks: List[DiskSymbol], indices: Tuple[int, ...], accepted: Dict[Tuple[int, ...], Tuple[int, ...]]
+    vectors: List[Optional[Tuple[int, ...]]],
+    indices: Tuple[int, ...],
+    accepted: Dict[Tuple[int, ...], Tuple[int, ...]],
 ) -> bool:
-    """True iff the row is S_k of an accepted row, for some position k."""
+    """True iff the row is S_k of an accepted row, for some position k.
+
+    Disks are compared by their int rows; a disk without one is never
+    matched, so its rows are checked directly.
+    """
     for k in range(4):
         parent = accepted.get(_hole(indices, k))
-        if parent is not None and disks[indices[k]] == reflect_fourth(
-            Quadruple(tuple(disks[i] for i in parent)), k
-        ):
+        if parent is None:
+            continue
+        quad = tuple(vectors[i] for i in parent)
+        if None not in quad and vectors[indices[k]] == _IntRows.reflect(quad, k):
             return True
     return False
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .disks import DiskSymbol, approx_geometry
+from .disks import DiskSymbol, _float_geometry
 from .packing import Packing
 
 __all__ = ["EmptyPacking", "RenderOptions", "render_svg"]
@@ -111,7 +111,7 @@ def render_svg(packing: Packing, options: RenderOptions = RenderOptions()) -> by
             views.append(d.approx())
     except OverflowError:
         raise ValueError(f"disk {len(views)}: a component is too large for a float") from None
-    geoms = [approx_geometry(v) for v in views]
+    geoms = list(map(_float_geometry, views))
     box = options.viewport or packing.viewport or _auto_viewport(geoms)
     x0, y0, x1, y1 = box
     width, height = options.width_px, options.height_px

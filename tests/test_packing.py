@@ -29,6 +29,7 @@ from apollonian.disks import (
     tangent,
 )
 from apollonian.field import PHI, TAU, ZERO, FieldElement
+from apollonian.jsonio import export_json
 from apollonian.packing import (
     BUILTIN_SEEDS,
     FLOAT_TOL,
@@ -263,6 +264,120 @@ class TestGenerate:
             assert extended_ok(Quadruple(tuple(p.disks[i] for i in indices)))
 
 
+def reference_generate(seed, max_depth, cap=None):
+    """The exact orbit walked on DiskSymbols: reflect_fourth, the FieldElement
+    cap test beta > cap, then the (depth, coefficient strings) order."""
+    disks, depths = list(seed.disks), [0] * 4
+    rows, skips = [((0, 1, 2, 3), 0)], [-1]
+    for r, (idx, depth) in enumerate(rows):
+        if depth == max_depth:
+            break
+        quad = Quadruple(tuple(disks[j] for j in idx))
+        for i in range(4):
+            if i == skips[r]:
+                continue
+            child = reflect_fourth(quad, i)
+            if cap is not None and child.beta > cap:
+                continue
+            rows.append((idx[:i] + (len(disks),) + idx[i + 1 :], depth + 1))
+            skips.append(i)
+            disks.append(child)
+            depths.append(depth + 1)
+    key = lambda k: (depths[k], tuple(v.to_string() for v in disks[k].components()))
+    order = sorted(range(len(disks)), key=key)
+    rank = {k: r for r, k in enumerate(order)}
+    renumbered = [(tuple(rank[j] for j in idx), depth) for idx, depth in rows]
+    return Packing("exact", seed, None, [disks[k] for k in order], [depths[k] for k in order], renumbered)
+
+
+def seed_denominator(seed):
+    return math.lcm(*(c.denominator for d in seed for v in d.components() for c in v.coeffs))
+
+
+class TestIntRows:
+    """Exact generate and verify on integer rows over the seed's denominator D."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("name", ["window", "plane_spiral"])
+    def test_generate_matches_the_symbol_walk(self, name, capped):
+        seed = inverted_seed(name, Fraction(18, 7))
+        assert seed_denominator(seed) > 1
+        cap = None
+        if capped:
+            # A depth-3 curvature: the capped walk keeps children equal to the cap.
+            betas = reference_generate(seed, 3).curvatures()
+            cap = sorted(betas)[len(betas) // 2]
+        expected = reference_generate(seed, 3, cap)
+        p = generate(PackingConfig(seed=seed, max_depth=3, max_curvature=cap))
+        assert 4 < len(p.disks) == len(expected.disks) <= 4 + 4 + 12 + 36
+        assert p.disks == expected.disks
+        assert p.disk_depths == expected.disk_depths
+        assert p.quadruples == expected.quadruples
+        assert export_json(p) == export_json(expected)
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_cap_equal_to_a_curvature_keeps_that_child(self, name):
+        children = generate(PackingConfig(seed=name, max_depth=1)).curvatures()[4:]
+        for cap in children:
+            p = generate(PackingConfig(seed=name, max_depth=1, max_curvature=cap))
+            kept = p.curvatures()[4:]
+            assert cap in kept
+            assert len(kept) == sum(1 for b in children if b <= cap)
+
+    @staticmethod
+    def _edited(p, i, delta, seed=None):
+        copy = dataclasses.replace(p, seed=seed or p.seed, disks=list(p.disks), quadruples=list(p.quadruples))
+        copy.disks[i] = dataclasses.replace(copy.disks[i], xr=copy.disks[i].xr + delta)
+        return copy
+
+    @pytest.mark.parametrize("order", ["generate", "reversed", "shuffled"])
+    @pytest.mark.parametrize(
+        "document, norms, extended, tangency",
+        [
+            # The deepest disk leaves (1/D)Z, D = 1: it has no row and
+            # only its own row is violated.
+            ("outside", [19], [13], [(13, 3, 19), (13, 7, 19)]),
+            # A depth-1 disk moves inside Z: its row is rejected, so its
+            # three children are checked directly and violated too.
+            (
+                "inside",
+                [5],
+                [4, 14, 15, 16],
+                [(4, 3, 5), (4, 0, 5), (14, 3, 5), (14, 0, 5)]
+                + [(15, 8, 5), (15, 0, 5), (16, 3, 5), (16, 15, 5)],
+            ),
+            # The window inverted at radius 18/7 (D = 3969) under the
+            # builtin window's seed list (D = 1): no disk has a row, so
+            # every row is checked directly.
+            ("foreign_seed", [19], [13], [(13, 2, 19), (13, 3, 19), (13, 7, 19)]),
+        ],
+    )
+    def test_verify_reports(self, document, norms, extended, tangency, order):
+        if document == "foreign_seed":
+            inverted = generate(PackingConfig(seed=inverted_seed("window", Fraction(18, 7)), max_depth=2))
+            p = self._edited(inverted, 19, 1, seed=builtin_seed("window"))
+            assert verify_packing(dataclasses.replace(inverted, seed=p.seed))["ok"]
+        else:
+            window = generate(PackingConfig(seed="window", max_depth=2))
+            edit = (19, Fraction(1, 3)) if document == "outside" else (5, 1)
+            p = self._edited(window, *edit)
+        positions = list(range(len(p.quadruples)))
+        if order == "reversed":
+            positions.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(positions)
+        # positions[new] is the generate-order row now listed at `new`.
+        p.quadruples[:] = [p.quadruples[old] for old in positions]
+        moved = {old: new for new, old in enumerate(positions)}
+        report = verify_packing(p)
+        assert report["norm_violations"] == norms
+        assert report["extended_violations"] == sorted(moved[qi] for qi in extended)
+        assert report["tangency_violations"] == sorted(
+            ((moved[qi], i, j) for qi, i, j in tangency), key=lambda v: v[0]
+        )
+        assert report == oracle_verify(p)
+
+
 class TestClassification:
     @pytest.mark.parametrize(
         "name,tag",
@@ -458,7 +573,7 @@ class TestVerify:
         assert report["norm_violations"] == list(range(len(p.disks)))
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS + ("inverted",))
     def test_row_order_changes_neither_report_nor_work(self, name, order, monkeypatch):
         # Rows are visited parents first by stored depth, so children
         # listed before their parents are still certified: only the

@@ -401,6 +401,15 @@ class TestCli:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert not out_svg.exists()
 
+    @pytest.mark.parametrize("box", ["1,2,3,x", "1,2,3,"])
+    def test_render_names_a_bad_viewport(self, belt_path, tmp_path, capsys, box):
+        out_svg = tmp_path / "p.svg"
+        assert main(["render", "--in", str(belt_path), "--out", str(out_svg), "--viewport", box]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --viewport needs 4 numbers xmin,ymin,xmax,ymax, got {box!r}\n"
+        assert not out_svg.exists()
+
     def test_render_never_writes_a_non_finite_number(self, tmp_path):
         out_json = tmp_path / "hp.json"
         out_svg = tmp_path / "hp.svg"
