@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .field import FieldElement, sqrt_in_field
 from .disks import DiskSymbol, Scalar, inner
@@ -167,15 +167,16 @@ def mirror(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
     return total + total - d
 
 
-def reflect_fourth(q: Quadruple, index: int) -> DiskSymbol:
+def reflect_fourth(q: Sequence[DiskSymbol], index: int) -> DiskSymbol:
     """The other disk tangent to the three disks of q excluding `index`.
 
+    q is any sequence of four symbols, such as a Quadruple or a tuple.
     Exact and square-root free: the two completions of a tangent triple
     sum to twice the triple's symbol sum.  Applying twice returns the
     original disk.
     """
-    a, b, c = q.disks[:index] + q.disks[index + 1 :]
-    d = q.disks[index]
+    a, b, c = q[:index] + q[index + 1 :]
+    d = q[index]
     return DiskSymbol(
         mirror(a.xr, b.xr, c.xr, d.xr),
         mirror(a.yr, b.yr, c.yr, d.yr),

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple, Union
 
 from .field import FieldElement, decimal_str
-from .disks import DiskSymbol, Scalar, center_radius
+from .disks import DiskSymbol, Scalar, _float_geometry, center_radius
 from .descartes import Quadruple
 from .packing import Packing, classify
 
@@ -116,7 +116,7 @@ def _disk_text(d: DiskSymbol, depth: Optional[int] = None) -> str:
             _scalar_text(decimal_str(v, APPROX_DIGITS)) for v in center_radius(d)
         )
     else:
-        approx = _APPROX % tuple(map(_scalar_text, (d.xr / d.beta, d.yr / d.beta, 1.0 / d.beta)))
+        approx = _APPROX % tuple(map(_scalar_text, _float_geometry(d)[1:]))
     return _DISK % (
         approx,
         _scalar_text(d.beta),

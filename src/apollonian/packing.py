@@ -15,7 +15,7 @@ rows are renumbered through that permutation, so the output does not
 depend on traversal details.
 
 The mode chooses how the walk encodes a disk.  Float mode walks the
-float symbols, one `mirror` per component.  Exact mode clears each
+float symbols with `descartes.reflect_fourth`.  Exact mode clears each
 seed disk once to an integer row: its 16 rational coefficients times
 D, the lcm of the seed's 64 coefficient denominators.  The reflection
 2(a + b + c) - d is Z-linear, so every orbit disk is an integer row
@@ -39,11 +39,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, Scalar
-from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror
+from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror, reflect_fourth
 from . import chains
 
 __all__ = [
@@ -77,8 +79,13 @@ BUILTIN_SEEDS: Tuple[str, ...] = ("window", "belt", "halfplane_golden", "plane_s
 _UNBOUNDED_BY_CONSTRUCTION = frozenset({"plane_spiral"})
 
 
+@cache
 def builtin_seed(name: str) -> Quadruple:
-    """Named seed quadruples; all pass the exact configuration identity."""
+    """Named seed quadruples; all pass the exact configuration identity.
+
+    Each seed is built once per process and the same immutable
+    Quadruple is returned on every later call.
+    """
     one = FieldElement(1)
     two = FieldElement(2)
     if name == "window":
@@ -193,26 +200,9 @@ def _curvature_sign(beta: Scalar, tol: float) -> int:
 class _FloatRows:
     """Float mode's disk encoding: the float DiskSymbol itself."""
 
-    @staticmethod
-    def row(d: DiskSymbol) -> DiskSymbol:
-        return d
-
-    @staticmethod
-    def reflect(quad: Tuple[DiskSymbol, ...], i: int) -> DiskSymbol:
-        """reflect_fourth(quad, i), one descartes.mirror per component."""
-        a, b, c = quad[:i] + quad[i + 1 :]
-        d = quad[i]
-        return DiskSymbol(
-            mirror(a.xr, b.xr, c.xr, d.xr),
-            mirror(a.yr, b.yr, c.yr, d.yr),
-            mirror(a.beta, b.beta, c.beta, d.beta),
-            mirror(a.gamma, b.gamma, c.gamma, d.gamma),
-        )
-
-    @staticmethod
-    def curvature(d: DiskSymbol) -> float:
-        return d.beta
-
+    row = staticmethod(lambda d: d)
+    reflect = staticmethod(reflect_fourth)
+    curvature = attrgetter("beta")
     disks = staticmethod(list)
 
 
@@ -271,8 +261,8 @@ def generate(config: PackingConfig) -> Packing:
     """Breadth-first orbit expansion of the seed quadruple."""
     if config.max_depth is None and config.max_curvature is None:
         raise ValueError("config must bound the orbit: set max_depth or max_curvature")
-    if config.max_depth is not None and config.max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, not {config.max_depth}")
+    if config.max_depth is not None and (type(config.max_depth) is not int or config.max_depth < 0):
+        raise ValueError(f"max_depth must be an int >= 0, not {config.max_depth!r}")
     seed_name: Optional[str] = None
     seed = config.seed
     if isinstance(seed, str):
@@ -380,10 +370,7 @@ def classify(p: Packing) -> PackingType:
 
 def curvature_spectrum(p: Packing) -> List[Tuple[Scalar, int]]:
     """Sorted (curvature, multiplicity) pairs; exact order in exact mode."""
-    counts: Dict[Scalar, int] = {}
-    for beta in p.curvatures():
-        counts[beta] = counts.get(beta, 0) + 1
-    return sorted(counts.items(), key=lambda pair: pair[0])
+    return sorted(Counter(p.curvatures()).items(), key=lambda pair: pair[0])
 
 
 def verify_packing(p: Packing) -> Dict[str, object]:

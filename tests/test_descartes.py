@@ -225,6 +225,13 @@ class TestReflectFourth:
             child[i] = reflect_fourth(WINDOW, i)
             assert extended_ok(Quadruple(tuple(child)))
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_a_tuple_reflects_like_its_quadruple(self, name, exact):
+        q = builtin_seed(name) if exact else float_quadruple(builtin_seed(name))
+        for i in range(4):
+            assert reflect_fourth(tuple(q), i) == reflect_fourth(q, i)
+
     def test_component_sum_identity(self):
         # original and mirror add to twice the sum of the fixed three
         for i in range(4):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apollonian import descartes
+from apollonian import chains, descartes
 from apollonian.descartes import Quadruple, extended_ok, reflect_fourth
 from apollonian.disks import (
     DiskSymbol,
@@ -107,6 +107,15 @@ class TestSeeds:
         with pytest.raises(UnknownSeed):
             builtin_seed("does-not-exist")
 
+    def test_each_seed_is_built_once(self, monkeypatch):
+        calls = []
+        build = chains.spiral_quadruple
+        monkeypatch.setattr(chains, "spiral_quadruple", lambda n: calls.append(n) or build(n))
+        builtin_seed.cache_clear()
+        for _ in range(2):
+            generate(PackingConfig(seed="plane_spiral", max_depth=0))
+        assert len(calls) <= 1
+
     def test_seed_curvature_signs(self):
         signs = {
             "window": -1,
@@ -128,6 +137,12 @@ class TestGenerate:
     def test_negative_depth_is_an_input_error(self, depth):
         with pytest.raises(ValueError, match="max_depth"):
             generate(PackingConfig(seed="window", max_depth=depth))
+
+    @pytest.mark.parametrize("depth", [2.5, math.nan, Fraction(5, 2), True, "3"])
+    def test_depth_that_is_not_an_int_is_an_input_error(self, depth):
+        # The cap keeps a depth the walk never meets from running forever.
+        with pytest.raises(ValueError, match="max_depth"):
+            generate(PackingConfig(seed="window", max_depth=depth, max_curvature=50))
 
     def test_rejects_invalid_seed(self):
         from apollonian.descartes import Quadruple
