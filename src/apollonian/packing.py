@@ -21,9 +21,8 @@ D, the lcm of the seed's 64 coefficient denominators.  The reflection
 2(a + b + c) - d is Z-linear, so every orbit disk is an integer row
 over the same D and the walk adds no Fraction; the cap test builds one
 element per distinct curvature, and the DiskSymbols are built once at
-the end.  Verify's orbit certificate compares the same integer rows over
-the seed's D; a disk outside (1/D)Z, which an edited document may
-hold, is checked directly.
+the end.  Exact verify clears each disk to an integer row over its own
+denominator and decides the inner products on those rows.
 
 Classification follows the curvature taxonomy: the sign of the minimal
 curvature and the number of zero-curvature disks decide types A, B and
@@ -45,7 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .field import FieldElement
 from .disks import DiskSymbol, Scalar
-from .descartes import FLOAT_TOL, Quadruple, _differs, _scaled_residual, mirror, reflect_fourth
+from .descartes import FLOAT_TOL, Quadruple, _scaled_residual, mirror, reflect_fourth
 from . import chains
 
 __all__ = [
@@ -206,30 +205,54 @@ class _FloatRows:
     disks = staticmethod(list)
 
 
+def _cleared(d: DiskSymbol) -> Tuple[int, Tuple[int, ...]]:
+    """(D, row): D the lcm of d's 16 coefficient denominators, row the
+    16 coefficients (xr, yr, beta, gamma, each over the basis 1, t, t^2,
+    t^3) times D."""
+    ratios = [c.as_integer_ratio() for v in d.components() for c in v.coeffs]
+    den = math.lcm(*(m for _, m in ratios))
+    return den, tuple(n * (den // m) for n, m in ratios)
+
+
+def _int_inner(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, int]:
+    """The coefficients of 2 D_x D_y <x, y> for rows x, y over D_x, D_y.
+
+    -2 xr xr' - 2 yr yr' + beta gamma' + gamma beta' as a degree-6
+    convolution, reduced with t^4 = t^2 + 1 as in FieldElement.__mul__.
+    """
+    d = [0] * 7
+    for i in range(4):
+        xr, yr, beta, gamma = x[i::4]
+        if xr or yr or beta or gamma:
+            for j in range(4):
+                d[i + j] += beta * y[j + 12] + gamma * y[j + 8] - 2 * (xr * y[j] + yr * y[j + 4])
+    return (d[0] + d[4] + d[6], d[1] + d[5], d[2] + d[4] + 2 * d[6], d[3] + d[5])
+
+
+def _int_differs(x: Tuple[int, Tuple[int, ...]], y: Tuple[int, Tuple[int, ...]], target: int) -> bool:
+    """Exact test on cleared disks (D, row): a violation (True) iff <x, y> != target."""
+    (dx, rx), (dy, ry) = x, y
+    return _int_inner(rx, ry) != (2 * dx * dy * target, 0, 0, 0)
+
+
 class _IntRows:
     """Exact mode's disk encoding: 16 integers over the seed's denominator.
 
-    A disk's row is its 16 rational coefficients (xr, yr, beta, gamma,
-    each over the basis 1, t, t^2, t^3) times D, the lcm of the seed's
-    64 coefficient denominators.  The reflection 2(a + b + c) - d is
-    Z-linear, so every orbit disk has a row, and two disks with rows
-    are equal iff their rows are.
+    A disk's row is its 16 rational coefficients times D, the lcm of the
+    seed disks' own denominators (`_cleared`).  The reflection
+    2(a + b + c) - d is Z-linear, so every orbit disk has a row over the
+    same D.
     """
 
     def __init__(self, seed: Quadruple):
-        self.den = math.lcm(*(c.denominator for d in seed for v in d.components() for c in v.coeffs))
+        self.den = math.lcm(*(_cleared(d)[0] for d in seed))
         self._curvatures: Dict[Tuple[int, ...], FieldElement] = {}
 
-    def row(self, d: DiskSymbol) -> Optional[Tuple[int, ...]]:
-        """d's row, or None when some coefficient is not in (1/D)Z."""
-        den = self.den
-        out = []
-        for v in d.components():
-            for n, m in map(Fraction.as_integer_ratio, v.coeffs):
-                if den % m:
-                    return None
-                out.append(n * (den // m))
-        return tuple(out)
+    def row(self, d: DiskSymbol) -> Tuple[int, ...]:
+        """A seed disk's row, rescaled from its own denominator to D."""
+        den, row = _cleared(d)
+        scale = self.den // den
+        return tuple(n * scale for n in row)
 
     @staticmethod
     def reflect(quad: Tuple[Tuple[int, ...], ...], i: int) -> Tuple[int, ...]:
@@ -383,34 +406,18 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     its 6 position pairs has <d_i, d_j> != +1 (a repeated index i = j is
     judged as a pair, +1, not as a norm).  Each disk norm and each index
     pair is computed once per call; a child quadruple shares 3 disks
-    with its parent, so it costs about 3 new pairs.
-
-    Exact mode first tries an orbit certificate, which needs no inner
-    product.  Rows are walked by stored depth, parents first (list order
-    within a depth), and a row is accepted when its Gram matrix M^T Q M
-    is known to be F.  A row r is accepted with no check when an
-    accepted row P agrees with it at the three positions other than
-    some k and disks[r[k]] == reflect_fourth(P, k), compared on integer
-    rows over the seed's denominator D (`_IntRows`): the int row of
-    disks[r[k]] equals 2(a + b + c) - d of P's int rows.  A disk with a
-    coefficient outside (1/D)Z has no int row, so no row that needs it
-    is certified: such rows are checked directly.  Then the columns of
-    r are those of P times the generator S_k (the identity except
-    column k, which is (2, 2, 2, -1) with the -1 at k), so
-    Gram(r) = S_k^T Gram(P) S_k = S_k^T F S_k = F: its 4 norms and 6
-    pairs hold.  (P = r cannot pass: with Gram(P) = F the reflected disk
-    has inner product 7, not -1, with P's own disk k.)  Any other row,
-    such as the depth-0 row or a row of an edited document, is checked
-    as above and accepted if it has no violation.  Accepted rows have no
-    violation under either route, so the report is the one the checks
-    alone would give, whatever the walk order; the violation lists are
-    sorted back to list order.  A disk's norm is computed only when the
-    disk is in no accepted row.  A parent with violations is never
-    accepted, so it certifies nothing.  Float mode skips the
-    certificate: symbol equality is not exact there.
+    with its parent, so it costs about 3 new pairs.  Rows are visited in
+    list order.
 
     The mode chooses only the scalar test of <x, y> against its target
-    t.  Exact mode decides <x, y> == t.  Float mode accepts
+    t.  Exact mode decides <x, y> == t on integer rows: each disk is
+    cleared on its own to (D, row), D the lcm of its 16 coefficient
+    denominators, and the test is 2 D_x D_y <x, y> == 2 D_x D_y t on
+    the four integer coefficients (`_int_inner`), with no Fraction.  The
+    denominator is per disk, not one for the document, because an
+    edited document may give each disk its own large denominator: their
+    common lcm would grow with the number of disks, and every product
+    with it.  Float mode accepts
     |<x, y> - t| <= FLOAT_TOL |x|_inf |y|_inf and adds to the report the
     largest scaled residual |<x, y> - t| / (|x|_inf |y|_inf) of the
     norms, of the entries of M^T Q M - F and of the pairs; each is at
@@ -428,25 +435,14 @@ def verify_packing(p: Packing) -> Dict[str, object]:
     change of one component of a deep disk is caught.
     """
     exact = p.mode == "exact"
-    residual, tol = (_differs, 0) if exact else (_scaled_residual, FLOAT_TOL)
-    disks = p.disks
-    norms: List[Optional[float]] = [None] * len(disks)
+    residual, tol = (_int_differs, 0) if exact else (_scaled_residual, FLOAT_TOL)
+    vectors = list(map(_cleared, p.disks)) if exact else p.disks
+    norms = [residual(v, v, -1) for v in vectors]
     pairs: Dict[Tuple[int, int], float] = {}
-    # (row with -1 at position k) -> an accepted row: the certificate keys.
-    accepted: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     max_extended = 0.0
     extended_violations: List[int] = []
     tangency_violations: List[Tuple[int, int, int]] = []
-    vectors = list(map(_IntRows(p.seed).row, disks)) if exact else None
-    rows = p.quadruples
-    for qi in sorted(range(len(rows)), key=lambda r: rows[r][1]):
-        indices = rows[qi][0]
-        if exact and _has_parent(vectors, indices, accepted):
-            _accept(indices, norms, accepted)
-            continue
-        for i in indices:
-            if norms[i] is None:
-                norms[i] = residual(disks[i], disks[i], -1)
+    for qi, (indices, _) in enumerate(p.quadruples):
         worst = max(norms[i] for i in indices)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -454,18 +450,13 @@ def verify_packing(p: Packing) -> Dict[str, object]:
                 key = (i, j) if i <= j else (j, i)
                 res = pairs.get(key)
                 if res is None:
-                    res = pairs[key] = residual(disks[i], disks[j], 1)
+                    res = pairs[key] = residual(vectors[i], vectors[j], 1)
                 if res > tol:
                     tangency_violations.append((qi, i, j))
                 worst = max(worst, res)
         if worst > tol:
             extended_violations.append(qi)
-        elif exact:
-            _accept(indices, norms, accepted)
         max_extended = max(max_extended, worst)
-    extended_violations.sort()
-    tangency_violations.sort(key=lambda v: v[0])
-    norms = [residual(d, d, -1) if res is None else res for d, res in zip(disks, norms)]
     norm_violations = [i for i, res in enumerate(norms) if res > tol]
     report: Dict[str, object] = {
         "mode": p.mode,
@@ -481,37 +472,3 @@ def verify_packing(p: Packing) -> Dict[str, object]:
         report["max_extended_residual"] = max_extended
         report["max_tangency_residual"] = max(pairs.values(), default=0.0)
     return report
-
-
-def _hole(indices: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    return indices[:k] + (-1,) + indices[k + 1 :]
-
-
-def _has_parent(
-    vectors: List[Optional[Tuple[int, ...]]],
-    indices: Tuple[int, ...],
-    accepted: Dict[Tuple[int, ...], Tuple[int, ...]],
-) -> bool:
-    """True iff the row is S_k of an accepted row, for some position k.
-
-    Disks are compared by their int rows; a disk without one is never
-    matched, so its rows are checked directly.
-    """
-    for k in range(4):
-        parent = accepted.get(_hole(indices, k))
-        if parent is None:
-            continue
-        quad = tuple(vectors[i] for i in parent)
-        if None not in quad and vectors[indices[k]] == _IntRows.reflect(quad, k):
-            return True
-    return False
-
-
-def _accept(
-    indices: Tuple[int, ...], norms: List[Optional[float]], accepted: Dict[Tuple[int, ...], Tuple[int, ...]]
-) -> None:
-    """Record a row with Gram matrix F: its norms hold, and it may certify."""
-    for k in range(4):
-        norms[indices[k]] = False
-        accepted.setdefault(_hole(indices, k), indices)
-

@@ -37,6 +37,8 @@ from apollonian.packing import (
     Packing,
     PackingConfig,
     UnknownSeed,
+    _cleared,
+    _int_inner,
     builtin_seed,
     classify,
     curvature_spectrum,
@@ -309,8 +311,42 @@ def seed_denominator(seed):
     return math.lcm(*(c.denominator for d in seed for v in d.components() for c in v.coeffs))
 
 
+# Rational coefficients with mixed denominators, zeros and negatives.
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)),
+)
+exact_symbols = st.builds(DiskSymbol, *[st.builds(FieldElement, *[coefficients] * 4)] * 4)
+
+
 class TestIntRows:
-    """Exact generate and verify on integer rows over the seed's denominator D."""
+    """Exact generate on integer rows over the seed's denominator D, and
+    exact verify on integer rows over each disk's own denominator."""
+
+    @given(x=exact_symbols, y=exact_symbols)
+    @settings(max_examples=200, deadline=None)
+    def test_int_inner_matches_the_field_inner_product(self, x, y):
+        (dx, rx), (dy, ry) = _cleared(x), _cleared(y)
+        assert _int_inner(rx, ry) == tuple(2 * dx * dy * c for c in descartes.inner(x, y).coeffs)
+
+    @pytest.mark.parametrize("name", BUILTIN_SEEDS)
+    def test_int_norms_of_packing_disks(self, name):
+        for d in generate(PackingConfig(seed=name, max_depth=2)).disks:
+            den, row = _cleared(d)
+            assert _int_inner(row, row) == (-2 * den * den, 0, 0, 0)
+
+    def test_distinct_large_denominators(self):
+        # Each of the 56 disks gets its own 1,501-digit denominator: one
+        # denominator for the whole document would have about 84,000
+        # digits, and every product of verify with it.
+        p = fresh_copy("window", 3)
+        p.disks[:] = [
+            dataclasses.replace(d, xr=d.xr + Fraction(1, 10**1500 + 2 * k + 1)) for k, d in enumerate(p.disks)
+        ]
+        report = verify_packing(p)
+        assert report == oracle_verify(p)
+        assert report["norm_violations"] == list(range(56))
 
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("name", ["window", "plane_spiral"])
@@ -349,11 +385,11 @@ class TestIntRows:
     @pytest.mark.parametrize(
         "document, norms, extended, tangency",
         [
-            # The deepest disk leaves (1/D)Z, D = 1: it has no row and
-            # only its own row is violated.
+            # The deepest disk leaves Z, the window's D = 1: only its
+            # own row is violated.
             ("outside", [19], [13], [(13, 3, 19), (13, 7, 19)]),
-            # A depth-1 disk moves inside Z: its row is rejected, so its
-            # three children are checked directly and violated too.
+            # A depth-1 disk moves inside Z: its row and its three
+            # children's rows, which hold it, are violated.
             (
                 "inside",
                 [5],
@@ -362,8 +398,8 @@ class TestIntRows:
                 + [(15, 8, 5), (15, 0, 5), (16, 3, 5), (16, 15, 5)],
             ),
             # The window inverted at radius 18/7 (D = 3969) under the
-            # builtin window's seed list (D = 1): no disk has a row, so
-            # every row is checked directly.
+            # builtin window's seed list (D = 1): verify does not read
+            # the seed list.
             ("foreign_seed", [19], [13], [(13, 2, 19), (13, 3, 19), (13, 7, 19)]),
         ],
     )
@@ -563,8 +599,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", BUILTIN_SEEDS + ("inverted",))
     def test_deep_disk_change_is_caught(self, name):
-        # The deepest row would be certified by its parent if the new
-        # disk were not compared with the parent's reflection.
+        # A deep disk changed by 1 in xr breaks its own norm and the
+        # identity of the deepest row that holds it.
         p = fresh_copy(name, 3)
         qi = len(p.quadruples) - 1
         indices, depth = p.quadruples[qi]
@@ -578,8 +614,8 @@ class TestVerify:
     @pytest.mark.parametrize("name", BUILTIN_SEEDS)
     def test_rejected_rows_certify_nothing(self, name):
         # Doubling every symbol keeps each row the reflection of its
-        # parent but makes every norm -4 and every pair +4: a certificate
-        # taken from a rejected row would pass all rows below depth 0.
+        # parent but makes every norm -4 and every pair +4: a check that
+        # trusted the reflection step would pass all rows below depth 0.
         p = fresh_copy(name, 2)
         p.disks[:] = [d.scaled(FieldElement(2)) for d in p.disks]
         report = verify_packing(p)
@@ -590,9 +626,9 @@ class TestVerify:
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize("name", BUILTIN_SEEDS + ("inverted",))
     def test_row_order_changes_neither_report_nor_work(self, name, order, monkeypatch):
-        # Rows are visited parents first by stored depth, so children
-        # listed before their parents are still certified: only the
-        # depth-0 row costs inner products (4 norms and 6 pairs).
+        # Every row is checked on integer rows in list order, so the
+        # order changes nothing, and exact verify does no field
+        # arithmetic: no FieldElement inner product in either order.
         p = fresh_copy(name, 3)
         calls = []
 
@@ -609,7 +645,7 @@ class TestVerify:
             random.Random(7).shuffle(p.quadruples)
         del calls[:]
         report = verify_packing(p)
-        assert len(calls) == in_order == 10
+        assert len(calls) == in_order == 0
         assert report == expected
 
     def test_report_key_order(self):
@@ -720,8 +756,7 @@ def slide_to_mirror(p, data):
 
 
 def shuffle_rows(p, data):
-    # Children may come before their parents, so rows lose their
-    # certificate and are checked directly; maybe a disk is also moved.
+    # Children may come before their parents; maybe a disk is also moved.
     p.quadruples[:] = data.draw(st.permutations(p.quadruples))
     if data.draw(st.booleans()):
         perturb_component(p, data)
@@ -769,8 +804,9 @@ class TestVerifyOracle:
     def test_matches_three_pass_oracle(self, corrupt, name, data):
         check_against_oracle(fresh_copy(name), corrupt, data)
 
-    # Depth 3 has rows certified by parents that were certified in turn;
-    # the oracle costs about 0.3 s there, hence fewer examples.
+    # Depth 3 has rows three reflections from the seed, whose
+    # coefficients have grown; the oracle costs about 0.3 s there, hence
+    # fewer examples.
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     @given(name=st.sampled_from(BUILTIN_SEEDS + ("inverted",)), data=st.data())
     @settings(max_examples=5, deadline=None)
