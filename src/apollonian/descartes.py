@@ -108,22 +108,26 @@ def descartes_scalar_ok(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> bool:
     return 2 * (a * a + b * b + c * c + d * d) == total * total
 
 
-def _differs(x: DiskSymbol, y: DiskSymbol, target: int) -> bool:
-    """Exact test: a violation (True) iff <x, y> != target."""
-    return inner(x, y) != target
-
-
 def _scaled_residual(x: DiskSymbol, y: DiskSymbol, target: int) -> float:
-    """|<x, y> - target| / (|x|_inf |y|_inf); inf when not finite."""
+    """|<x, y> - target| / (|x|_inf |y|_inf); inf when not finite.  When a
+    product overflows, x, y and the target are scaled by powers of two,
+    which is exact, so that the norms lie in [1/2, 1), and measured again."""
     scale = max(map(abs, x.components())) * max(map(abs, y.components()))
     scaled = abs(inner(x, y) - target) / scale if scale else math.inf
+    if scaled < math.inf:
+        return scaled
+    norms = max(map(abs, x.components())), max(map(abs, y.components()))
+    if scale >= 1 and max(norms) < math.inf:
+        (mx, ex), (my, ey) = map(math.frexp, norms)
+        x, y = (DiskSymbol(*(math.ldexp(v, -e) for v in d.components())) for d, e in ((x, ex), (y, ey)))
+        scaled = abs(inner(x, y) - math.ldexp(target, -ex - ey)) / (mx * my)
     return scaled if scaled <= math.inf else math.inf
 
 
 def extended_ok(q: Quadruple) -> bool:
     """Exact test M^T Q M = F, equivalently M F M^T = G."""
     d = q.disks
-    return not any(_differs(d[i], d[j], F_GRAM[i][j]) for i, j in _ENTRIES)
+    return not any(inner(d[i], d[j]) != F_GRAM[i][j] for i, j in _ENTRIES)
 
 
 def extended_residual(q: Quadruple) -> float:
@@ -167,6 +171,13 @@ def mirror(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
     return total + total - d
 
 
+def _reflect_rows(q: Sequence[Sequence[Scalar]], i: int) -> Tuple[Scalar, ...]:
+    """2(a + b + c) - d entry by entry, with a, b, c the rows of q other
+    than row i and d = q[i]: symbol components, or integer coefficients."""
+    a, b, c = q[:i] + q[i + 1 :]
+    return tuple(map(mirror, a, b, c, q[i]))
+
+
 def reflect_fourth(q: Sequence[DiskSymbol], index: int) -> DiskSymbol:
     """The other disk tangent to the three disks of q excluding `index`.
 
@@ -175,14 +186,7 @@ def reflect_fourth(q: Sequence[DiskSymbol], index: int) -> DiskSymbol:
     sum to twice the triple's symbol sum.  Applying twice returns the
     original disk.
     """
-    a, b, c = q[:index] + q[index + 1 :]
-    d = q[index]
-    return DiskSymbol(
-        mirror(a.xr, b.xr, c.xr, d.xr),
-        mirror(a.yr, b.yr, c.yr, d.yr),
-        mirror(a.beta, b.beta, c.beta, d.beta),
-        mirror(a.gamma, b.gamma, c.gamma, d.gamma),
-    )
+    return DiskSymbol(*_reflect_rows([d.components() for d in q], index))
 
 
 def _minors(p, q):

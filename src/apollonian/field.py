@@ -148,6 +148,12 @@ def _quotient(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
+def _reduce(d):
+    """The degree-6 product coefficients d reduced to the basis 1, t, t^2,
+    t^3 with t^4 = t^2 + 1, t^5 = t^3 + t, t^6 = 2*t^2 + 1."""
+    return (d[0] + d[4] + d[6], d[1] + d[5], d[2] + d[4] + 2 * d[6], d[3] + d[5])
+
+
 def _power(base, n: int, one):
     """base**n by square and multiply; a negative n inverts base first."""
     if n < 0:
@@ -211,8 +217,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         s = self.coeffs
-        # Degree-6 convolution, then reduce with t^4 = t^2 + 1,
-        # t^5 = t^3 + t, t^6 = 2*t^2 + 1.
         d = [_F0] * 7
         for i in range(4):
             si = s[i]
@@ -220,14 +224,7 @@ class FieldElement:
                 for j in range(4):
                     if o[j]:
                         d[i + j] += si * o[j]
-        return FieldElement._raw(
-            (
-                d[0] + d[4] + d[6],
-                d[1] + d[5],
-                d[2] + d[4] + 2 * d[6],
-                d[3] + d[5],
-            )
-        )
+        return FieldElement._raw(_reduce(d))
 
     __rmul__ = __mul__
 

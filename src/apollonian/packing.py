@@ -14,15 +14,15 @@ order; at the end they are sorted by (depth, symbol) and the quadruple
 rows are renumbered through that permutation, so the output does not
 depend on traversal details.
 
-The mode chooses how the walk encodes a disk.  Float mode walks the
-float symbols with `descartes.reflect_fourth`.  Exact mode clears each
-seed disk once to an integer row: its 16 rational coefficients times
-D, the lcm of the seed's 64 coefficient denominators.  The reflection
-2(a + b + c) - d is Z-linear, so every orbit disk is an integer row
-over the same D and the walk adds no Fraction; the cap test builds one
-element per distinct curvature, and the DiskSymbols are built once at
-the end.  Exact verify clears each disk to an integer row over its own
-denominator and decides the inner products on those rows.
+Both modes walk rows through one reflection, `descartes._reflect_rows`
+(2(a + b + c) - d entry by entry); the mode chooses only the row.  A
+float row is the symbol's 4 components.  An exact row is the disk's 16
+rational coefficients times D, the lcm of the seed's 64 coefficient
+denominators: the reflection is Z-linear, so every orbit disk is an
+integer row over the same D and the walk adds no Fraction; the cap test
+builds one element per distinct curvature.  The DiskSymbols are built
+once, at the end.  Exact verify clears each disk to an integer row over
+its own denominator and decides the inner products on those rows.
 
 Classification follows the curvature taxonomy: the sign of the minimal
 curvature and the number of zero-curvature disks decide types A, B and
@@ -39,12 +39,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .field import FieldElement
+from .field import FieldElement, _reduce
 from .disks import DiskSymbol, Scalar
-from .descartes import FLOAT_TOL, Quadruple, _scaled_residual, mirror, reflect_fourth
+from .descartes import FLOAT_TOL, Quadruple, _reflect_rows, _scaled_residual
 from . import chains
 
 __all__ = [
@@ -197,12 +197,11 @@ def _curvature_sign(beta: Scalar, tol: float) -> int:
 
 
 class _FloatRows:
-    """Float mode's disk encoding: the float DiskSymbol itself."""
+    """Float mode's disk encoding: the 4 float components of the symbol."""
 
-    row = staticmethod(lambda d: d)
-    reflect = staticmethod(reflect_fourth)
-    curvature = attrgetter("beta")
-    disks = staticmethod(list)
+    row = DiskSymbol.components
+    curvature = itemgetter(2)
+    disks = staticmethod(lambda rows: [DiskSymbol(*row) for row in rows])
 
 
 def _cleared(d: DiskSymbol) -> Tuple[int, Tuple[int, ...]]:
@@ -218,7 +217,7 @@ def _int_inner(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, i
     """The coefficients of 2 D_x D_y <x, y> for rows x, y over D_x, D_y.
 
     -2 xr xr' - 2 yr yr' + beta gamma' + gamma beta' as a degree-6
-    convolution, reduced with t^4 = t^2 + 1 as in FieldElement.__mul__.
+    convolution, reduced by the field's `_reduce` as in FieldElement.__mul__.
     """
     d = [0] * 7
     for i in range(4):
@@ -226,7 +225,7 @@ def _int_inner(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, i
         if xr or yr or beta or gamma:
             for j in range(4):
                 d[i + j] += beta * y[j + 12] + gamma * y[j + 8] - 2 * (xr * y[j] + yr * y[j + 4])
-    return (d[0] + d[4] + d[6], d[1] + d[5], d[2] + d[4] + 2 * d[6], d[3] + d[5])
+    return _reduce(d)
 
 
 def _int_differs(x: Tuple[int, Tuple[int, ...]], y: Tuple[int, Tuple[int, ...]], target: int) -> bool:
@@ -253,12 +252,6 @@ class _IntRows:
         den, row = _cleared(d)
         scale = self.den // den
         return tuple(n * scale for n in row)
-
-    @staticmethod
-    def reflect(quad: Tuple[Tuple[int, ...], ...], i: int) -> Tuple[int, ...]:
-        """reflect_fourth(quad, i) on rows: 2(a + b + c) - d entry by entry."""
-        a, b, c = quad[:i] + quad[i + 1 :]
-        return tuple(map(mirror, a, b, c, quad[i]))
 
     def _element(self, entries: Tuple[int, ...]) -> FieldElement:
         den = self.den
@@ -337,7 +330,7 @@ def generate(config: PackingConfig) -> Packing:
         for i in range(4):
             if i == skips[r]:
                 continue
-            child = encoding.reflect(quad, i)
+            child = _reflect_rows(quad, i)
             if cap is not None and encoding.curvature(child) > cap:
                 continue
             rows.append((idx[:i] + (len(vectors),) + idx[i + 1 :], depth + 1))
@@ -347,7 +340,10 @@ def generate(config: PackingConfig) -> Packing:
     disks += encoding.disks(vectors[4:])
 
     sort_key = _exact_key if config.mode == "exact" else _float_key
-    order = sorted(range(len(disks)), key=lambda i: (depths[i], sort_key(disks[i])))
+    try:
+        order = sorted(range(len(disks)), key=lambda i: (depths[i], sort_key(disks[i])))
+    except (OverflowError, ValueError):  # the float key of an infinite or NaN component
+        raise InvalidSeed("orbit disk past the float range (float mode)") from None
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
