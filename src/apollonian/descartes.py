@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .field import FieldElement, sqrt_in_field
+from .field import FieldElement, _clear, sqrt_in_field
 from .disks import DiskSymbol, Scalar, inner
 
 __all__ = [
@@ -112,13 +112,13 @@ def _scaled_residual(x: DiskSymbol, y: DiskSymbol, target: int) -> float:
     """|<x, y> - target| / (|x|_inf |y|_inf); inf when not finite.  When a
     product overflows, x, y and the target are scaled by powers of two,
     which is exact, so that the norms lie in [1/2, 1), and measured again."""
-    scale = max(map(abs, x.components())) * max(map(abs, y.components()))
+    nx, ny = max(map(abs, x.components())), max(map(abs, y.components()))
+    scale = nx * ny
     scaled = abs(inner(x, y) - target) / scale if scale else math.inf
     if scaled < math.inf:
         return scaled
-    norms = max(map(abs, x.components())), max(map(abs, y.components()))
-    if scale >= 1 and max(norms) < math.inf:
-        (mx, ex), (my, ey) = map(math.frexp, norms)
+    if scale >= 1 and max(nx, ny) < math.inf:
+        (mx, ex), (my, ey) = math.frexp(nx), math.frexp(ny)
         x, y = (DiskSymbol(*(math.ldexp(v, -e) for v in d.components())) for d, e in ((x, ex), (y, ey)))
         scaled = abs(inner(x, y) - math.ldexp(target, -ex - ey)) / (mx * my)
     return scaled if scaled <= math.inf else math.inf
@@ -229,9 +229,7 @@ def solve_fourth_float(
     # size, so they are summed exactly: each component is an integer
     # over the common power of two `den`.  A row's cofactors are the
     # 2x2 minors of the other two rows.
-    ratios = [x.as_integer_ratio() for d in disks for x in d.components()]
-    den = max(m for _, m in ratios)
-    ints = [n * (den // m) for n, m in ratios]
+    den, ints = _clear(x for d in disks for x in d.components())
     a, b, e = ints[0:4], ints[4:8], ints[8:12]
     rows = ((a, _minors(b, e)), (b, _minors(a, e)), (e, _minors(a, b)))
     minors, sensitivities = [], []

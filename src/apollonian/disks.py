@@ -62,7 +62,7 @@ class CenterSingularity(ValueError):
     """Point inversion applied to the inversion center."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiskSymbol:
     """Symbol (xr, yr, beta, gamma); exact or float depending on components."""
 

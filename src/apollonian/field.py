@@ -11,9 +11,12 @@ golden ratio phi = t^2, its reciprocal tau = t^2 - 1, sqrt(5) =
 2*t^2 - 1, sqrt(tau) = t^3 - t, and the spiral ratio rho = t^2 + t.
 Closure under those square roots is what keeps disk symbols exact.
 
-Decisions are exact.  K is the tower Q < Q(phi) < K with t^2 = phi,
-so clearing denominators writes an element as (U + V*t)/den with U, V
-in Z[phi], and t -> -t is an automorphism.  Multiplying by the
+Decisions are exact, on one integer form: `_clear` writes an element
+as (a + b*t + c*t^2 + d*t^3)/den, integers in basis order over den,
+the lcm of the coefficient denominators, and `FieldElement._over` is
+the way back.  K is the tower Q < Q(phi) < K with t^2 = phi, so the
+form is (U + V*t)/den with U = a + c*phi and V = b + d*phi in Z[phi],
+and t -> -t is an automorphism.  Multiplying by the
 conjugate U - V*t lands in Z[phi], one more conjugate (phi -> 1 - phi)
 lands in Z: `inverse` and `sign` are integer norm computations down
 that tower, and `sqrt_in_field` applies one quadratic-extension step at
@@ -42,7 +45,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -78,6 +81,15 @@ def _as_coeffs(value: object) -> Optional[Tuple[Fraction, Fraction, Fraction, Fr
 
 
 _F0 = Fraction(0)
+
+
+def _clear(values: Iterable[Union[Rational, float]]) -> Tuple[int, Tuple[int, ...]]:
+    """(den, nums): den the lcm of the values' denominators, nums their
+    numerators over den in input order.  Values are ints, Fractions or
+    floats, read exactly by `as_integer_ratio`."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[m for _, m in ratios])
+    return den, tuple([n * (den // m) for n, m in ratios])
 
 
 def _sgn(n: int) -> int:
@@ -228,24 +240,19 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def _cleared(self) -> Tuple[int, int, int, int, int]:
-        """Integers (u0, u1, v0, v1, den) with self = (U + V*t)/den, den > 0.
+    def _cleared(self) -> Tuple[int, Tuple[int, int, int, int]]:
+        """(den, (a, b, c, d)): self = (a + b t + c t^2 + d t^3)/den, by `_clear`."""
+        return _clear(self.coeffs)
 
-        U = u0 + u1*phi and V = v0 + v1*phi lie in Z[phi].
-        """
-        a, b, c, d = self.coeffs
-        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        return (
-            a.numerator * (den // a.denominator),
-            c.numerator * (den // c.denominator),
-            b.numerator * (den // b.denominator),
-            d.numerator * (den // d.denominator),
-            den,
-        )
+    @staticmethod
+    def _over(nums: Iterable[int], den: int) -> "FieldElement":
+        """The element (nums[0] + nums[1] t + nums[2] t^2 + nums[3] t^3)/den."""
+        return FieldElement._raw(tuple(Fraction(n, den) for n in nums))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by norms: 1/x = den (U - V t)(p + q - q phi) / N.
 
+        den*x = U + V t with U = a + c phi and V = b + d phi in Z[phi], and
         (p + q phi)(p + q - q phi) = p^2 + p q - q^2 = N is the rational
         norm of den*x, a nonzero integer when x is nonzero.
         """
@@ -253,19 +260,14 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational():
             return FieldElement._raw((1 / self.coeffs[0], _F0, _F0, _F0))
-        u0, u1, v0, v1, den = self._cleared()
+        den, (u0, v0, u1, v1) = self._cleared()
         p, q = _relative_norm(u0, u1, v0, v1)
         n = p * p + p * q - q * q
         # (w0 + w1 phi)(p + q - q phi) = w0 (p + q) - w1 q + (w1 p - w0 q) phi
+        # with w = U and w = -V, in basis order 1, t, phi, t^3
         r = p + q
-        return FieldElement._raw(
-            (
-                Fraction(den * (u0 * r - u1 * q), n),
-                Fraction(-den * (v0 * r - v1 * q), n),
-                Fraction(den * (u1 * p - u0 * q), n),
-                Fraction(-den * (v1 * p - v0 * q), n),
-            )
-        )
+        w = (u0 * r - u1 * q, v1 * q - v0 * r, u1 * p - u0 * q, v0 * q - v1 * p)
+        return FieldElement._over([den * c for c in w], n)
 
     def __truediv__(self, other: object) -> "FieldElement":
         o = _as_coeffs(other)
@@ -303,7 +305,7 @@ class FieldElement:
         sign; otherwise U - V t has the sign of U, so the product
         (U + V t)(U - V t) = p + q phi decides.
         """
-        u0, u1, v0, v1, _ = self._cleared()
+        _, (u0, v0, u1, v1) = self._cleared()
         su = _phi_sign(u0, u1)
         sv = _phi_sign(v0, v1)
         if su * sv >= 0:
@@ -432,21 +434,21 @@ def _t_floors(k: int) -> Tuple[int, int, int]:
     return _FLOORS[0] >> m, _FLOORS[1] >> m, _FLOORS[2] >> m
 
 
-def _enclosure(cleared: Tuple[int, int, int, int, int], k: int) -> Tuple[int, int, int]:
+def _enclosure(cleared: Tuple[int, Tuple[int, int, int, int]], k: int) -> Tuple[int, int, int]:
     """Integers (lo, spread, D) with lo < D*x < lo + spread, or D*x = lo if spread = 0.
 
-    `cleared` is x._cleared(), so den*x = u0 + v0 t + u1 phi + v1 t^3
-    and D = den * 2^k.  Each irrational term c*t^i*2^k lies strictly
-    between c*floor(t^i 2^k) and c*(floor(t^i 2^k) + 1).
+    `cleared` is x._cleared(), so den*x = a + b t + c phi + d t^3 and
+    D = den * 2^k.  Each irrational term n*t^i*2^k lies strictly
+    between n*floor(t^i 2^k) and n*(floor(t^i 2^k) + 1).
     """
-    u0, u1, v0, v1, den = cleared
-    lo = u0 << k
+    den, (a, *irrational) = cleared
+    lo = a << k
     spread = 0
-    for c, f in zip((v0, u1, v1), _t_floors(k)):
-        lo += c * f
-        if c < 0:
-            lo += c
-        spread += abs(c)
+    for n, f in zip(irrational, _t_floors(k)):
+        lo += n * f
+        if n < 0:
+            lo += n
+        spread += abs(n)
     return lo, spread, den << k
 
 
@@ -470,8 +472,8 @@ def interval(x: FieldElement, eps: Rational) -> Tuple[Fraction, Fraction]:
     if eps <= 0:
         raise ValueError("eps must be > 0")
     cleared = x._cleared()
-    _, u1, v0, v1, den = cleared
-    n = -(-(abs(u1) + abs(v0) + abs(v1)) * eps.denominator // (den * eps.numerator))
+    den, (_, *irrational) = cleared
+    n = -(-sum(map(abs, irrational)) * eps.denominator // (den * eps.numerator))
     lo, spread, d = _enclosure(cleared, max(n - 1, 0).bit_length())
     return Fraction(lo, d), Fraction(lo + spread, d)
 

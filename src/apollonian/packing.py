@@ -42,7 +42,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
-from .field import FieldElement, _reduce
+from .field import FieldElement, _clear, _reduce
 from .disks import DiskSymbol, Scalar
 from .descartes import FLOAT_TOL, Quadruple, _reflect_rows, _scaled_residual
 from . import chains
@@ -199,18 +199,17 @@ def _curvature_sign(beta: Scalar, tol: float) -> int:
 class _FloatRows:
     """Float mode's disk encoding: the 4 float components of the symbol."""
 
-    row = DiskSymbol.components
     curvature = itemgetter(2)
     disks = staticmethod(lambda rows: [DiskSymbol(*row) for row in rows])
 
+    def __init__(self, seed: Quadruple):
+        self.seed_rows = [d.components() for d in seed]
 
-def _cleared(d: DiskSymbol) -> Tuple[int, Tuple[int, ...]]:
-    """(D, row): D the lcm of d's 16 coefficient denominators, row the
-    16 coefficients (xr, yr, beta, gamma, each over the basis 1, t, t^2,
-    t^3) times D."""
-    ratios = [c.as_integer_ratio() for v in d.components() for c in v.coeffs]
-    den = math.lcm(*(m for _, m in ratios))
-    return den, tuple(n * (den // m) for n, m in ratios)
+
+def _cleared(*disks: DiskSymbol) -> Tuple[int, Tuple[int, ...]]:
+    """(D, row): `_clear` of the disks' coefficients, 16 per disk (xr,
+    yr, beta, gamma, each over the basis 1, t, t^2, t^3)."""
+    return _clear(c for d in disks for v in d.components() for c in v.coeffs)
 
 
 def _int_inner(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, int]:
@@ -238,37 +237,28 @@ class _IntRows:
     """Exact mode's disk encoding: 16 integers over the seed's denominator.
 
     A disk's row is its 16 rational coefficients times D, the lcm of the
-    seed disks' own denominators (`_cleared`).  The reflection
-    2(a + b + c) - d is Z-linear, so every orbit disk has a row over the
-    same D.
+    seed's 64 coefficient denominators (`_cleared` of the seed).  The
+    reflection 2(a + b + c) - d is Z-linear, so every orbit disk has a
+    row over the same D.
     """
 
     def __init__(self, seed: Quadruple):
-        self.den = math.lcm(*(_cleared(d)[0] for d in seed))
+        self.den, row = _cleared(*seed)
+        self.seed_rows = [row[k : k + 16] for k in range(0, 64, 16)]
         self._curvatures: Dict[Tuple[int, ...], FieldElement] = {}
-
-    def row(self, d: DiskSymbol) -> Tuple[int, ...]:
-        """A seed disk's row, rescaled from its own denominator to D."""
-        den, row = _cleared(d)
-        scale = self.den // den
-        return tuple(n * scale for n in row)
-
-    def _element(self, entries: Tuple[int, ...]) -> FieldElement:
-        den = self.den
-        return FieldElement._raw(tuple(Fraction(n, den) for n in entries))
 
     def curvature(self, row: Tuple[int, ...]) -> FieldElement:
         """The curvature, one element per value: a disk keeps the float its cap test cached."""
         key = row[8:12]
         beta = self._curvatures.get(key)
         if beta is None:
-            beta = self._curvatures[key] = self._element(key)
+            beta = self._curvatures[key] = FieldElement._over(key, self.den)
         return beta
 
     def disks(self, rows: List[Tuple[int, ...]]) -> List[DiskSymbol]:
-        element = self._element
+        over, den = FieldElement._over, self.den
         return [
-            DiskSymbol(element(row[:4]), element(row[4:8]), self.curvature(row), element(row[12:]))
+            DiskSymbol(over(row[:4], den), over(row[4:8], den), self.curvature(row), over(row[12:], den))
             for row in rows
         ]
 
@@ -320,8 +310,8 @@ def generate(config: PackingConfig) -> Packing:
     # `rows` is the breadth-first queue: it grows while it is walked, in
     # depth order, and skips[r] is the position row r replaced.  The
     # walk runs on the encoded disks, `vectors`, in creation order.
-    encoding = _IntRows(seed) if config.mode == "exact" else _FloatRows
-    vectors = [encoding.row(d) for d in seed.disks]
+    encoding = (_IntRows if config.mode == "exact" else _FloatRows)(seed)
+    vectors = list(encoding.seed_rows)
     skips = [-1]
     for r, (idx, depth) in enumerate(rows):
         if depth == config.max_depth:

@@ -9,7 +9,9 @@ documents unmutated with drawn `--viewport`, `--width`, `--height`,
 `--max-curvature` and `--depth`.  Bad input must exit 2 with a one-line
 error and write no output file: the CLI never exits 3, never prints a
 traceback, exits 1 only when verify finds violations, and never writes
-a non-finite number into an SVG.
+a non-finite number into an SVG.  The scaled-seed examples run the same
+commands on valid documents of a builtin seed inverted in a circle of
+radius 10^-k, whose components reach and pass the float range.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 
 from apollonian.cli import main
 from apollonian.jsonio import export_json, import_json
-from apollonian.packing import BUILTIN_SEEDS, PackingConfig, generate, verify_packing
+from apollonian.packing import BUILTIN_SEEDS, InvalidSeed, PackingConfig, generate, verify_packing
+from test_packing import inverted_seed
 
 # SVG attributes that hold numbers; `dominant-baseline` and the colours do not.
 NUMERIC_ATTRIBUTES = ("x", "y", "cx", "cy", "r", "x1", "y1", "x2", "y2", "font-size")
@@ -221,3 +225,35 @@ def test_generate_options(workdir, data):
     args += depth + option(data, "max-curvature", ANY_CAPS if depth else SMALL_CAPS)
     code, err = run(args)
     assert_clean_exit(args, code, err, out)
+
+
+@given(
+    name=st.sampled_from(BUILTIN_SEEDS),
+    k=st.integers(1, 160),
+    mode=st.sampled_from(("exact", "float")),
+    depth=st.integers(0, 2),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_on_scaled_seeds(workdir, name, k, mode, depth):
+    # Float mode refuses the seed or its orbit from about k = 150 on,
+    # where curvatures of about 10^(2k) pass the float range.
+    seed = inverted_seed(name, Fraction(1, 10**k))
+    try:
+        packing = generate(PackingConfig(seed=seed, max_depth=depth, mode=mode))
+    except InvalidSeed as exc:
+        assert mode == "float" and "float range" in str(exc), (name, k, mode, exc)
+        return
+    source, svg = workdir / "scaled.json", workdir / "scaled.svg"
+    source.write_text(export_json(packing))
+    svg.unlink(missing_ok=True)
+    for args in (
+        ["verify", "--in", str(source)],
+        ["classify", "--in", str(source)],
+        ["render", "--in", str(source), "--out", str(svg)],
+    ):
+        code, err = run(args)
+        assert code in (0, 1, 2), (args, err)
+        assert "Traceback" not in err and "internal error" not in err, (args, err)
+        if code == 1:
+            assert args[0] == "verify", (args, err)
+            assert not verify_packing(generate(PackingConfig(seed=seed, max_depth=depth)))["ok"], (name, k)

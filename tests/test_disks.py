@@ -1,5 +1,6 @@
 """Inversive-coordinate disk symbols: norms, tangency, reflection."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,12 @@ class TestSymbolArithmetic:
     def test_mixed_exactness_rejected(self):
         with pytest.raises(TypeError):
             inner(UNIT, DiskSymbol(0.0, 0.0, 1.0, -1.0))
+
+    def test_symbol_has_slots_and_replace_works(self):
+        d = DiskSymbol(0.0, 0.0, 1.0, -1.0)
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.xr = 1.0
+        moved = dataclasses.replace(UNIT, xr=HALF)
+        assert moved == DiskSymbol(HALF, ZERO, ONE, -ONE)
+        assert moved.yr is UNIT.yr

@@ -562,6 +562,26 @@ class TestSerialization:
         assert coeff[0].denominator == den // math.gcd(num, den)
 
 
+class TestIntegerForm:
+    """`_cleared` is the reduced integer form in basis order, and `_over` inverts it."""
+
+    @given(x=hard_elements)
+    @settings(max_examples=200, deadline=None)
+    def test_cleared_is_reduced_and_over_inverts_it(self, x):
+        den, nums = x._cleared()
+        assert den > 0 and len(nums) == 4
+        assert math.gcd(den, *nums) == 1
+        assert all(n == c * den for n, c in zip(nums, x.coeffs))
+        assert FieldElement._over(nums, den) == x
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.fractions() | st.integers()))
+    @settings(max_examples=200, deadline=None)
+    def test_clear_is_exact_on_floats(self, values):
+        den, nums = field._clear(values)
+        assert den > 0
+        assert [Fraction(n, den) for n in nums] == [Fraction(v) for v in values]
+
+
 class TestComplex:
     def test_inverse(self):
         z = ComplexFieldElement(PHI, -SQRT_TAU)
